@@ -1,0 +1,12 @@
+"""Make the benchmark's modules and the checkout's program importable."""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parent.parent
+if str(BENCH_DIR) not in sys.path:
+    sys.path.insert(0, str(BENCH_DIR))
+
+import paths  # noqa: E402
+
+paths.use_checkout_source()
