@@ -1,30 +1,23 @@
-"""Experiment **fast-path** — data-plane micro-benchmarks with a same-run
-before/after toggle.
+"""Experiment **fast-path** — data-plane micro-benchmarks.
 
-Measures the three optimizations of the serialize-once data plane against
-a faithful in-process emulation of the pre-change (seed) code paths:
+Measures the serialize-once data plane on the two transports:
 
 1. **Node throughput** — packets/sec through one fanout-16 communication
-   process (wait_for_all + sum) fed a backlog, comparing the batched
-   inbox drain + cached timer deadlines against the legacy
-   one-get-per-wakeup loop with a full ``next_deadline()`` scan per
-   iteration.
-2. **TCP frame round-trip** — latency/throughput of one frame bounced
-   across a real localhost socket edge (recv_into + sendmsg path).
-3. **Multicast amplification** — packets/sec of a k-way TCP multicast,
-   comparing serialize-once (one memoized ``to_bytes``, k scatter-gather
-   writes) against the legacy path (per-child header pack via the
-   directive interpreter, ``%ac %ac`` frame copy, header+body concat,
-   ``sendall``) — exactly what ``_Connection.send`` did before this
-   change.
+   process (wait_for_all + sum) fed a backlog: the batched inbox drain
+   plus cached timer deadlines.
+2. **Socket frame round-trip** — latency/throughput of one 64 B frame
+   bounced across a real localhost socket edge of the reactor transport.
+3. **Multicast** — sender packets/sec of a k-way multicast (one memoized
+   ``to_bytes`` per multicast), on the thread and reactor transports.
 
 A sweep over transport × fanout × payload feeds EXPERIMENTS.md.  Results
-are written to ``BENCH_fastpath.json`` at the repo root.
+are written to ``BENCH_fastpath.json`` at the repo root; compare them
+against the previously committed file (the pre-change before/after
+tables are archived in EXPERIMENTS.md).
 
-``--reactor`` runs the high-fanout reactor-vs-threaded suite instead
-(sustained multicast + reduction waves at fanout 64 and 128, I/O thread
-counts) and writes ``BENCH_reactor.json`` — the ISSUE 4 acceptance
-numbers.
+``--reactor`` runs the high-fanout reactor suite instead (sustained
+multicast + reduction waves at fanout 64 and 128, I/O thread counts)
+and writes ``BENCH_reactor.json``.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_fastpath.py [--quick] [--reactor]``
 """
@@ -46,101 +39,16 @@ from repro.bench.harness import instrument_capture  # noqa: E402
 from repro.core.events import Direction, Envelope, StreamSpec, CONTROL_STREAM_ID, TAG_STREAM_CREATE  # noqa: E402
 from repro.core.filter_registry import default_registry  # noqa: E402
 from repro.core.node import NodeRunner  # noqa: E402
-from repro.core.packet import HEADER_FMT, Packet  # noqa: E402
-from repro.core.serialization import parse_format  # noqa: E402
+from repro.core.packet import Packet  # noqa: E402
 from repro.core.topology import flat_topology  # noqa: E402
 from repro.transport.local import ThreadTransport  # noqa: E402
-from repro.transport.tcp import TCPTransport, _HDR, _DIR_CODE  # noqa: E402
+from repro.transport.reactor import ReactorTransport  # noqa: E402
 
 TAG = 100
 
 
-# ---------------------------------------------------------------------------
-# Legacy (pre-change) emulation
-# ---------------------------------------------------------------------------
-
-def _legacy_pack(fmt: str, values) -> bytes:
-    """The seed pack_payload: per-directive interpreter, no struct batch."""
-    dirs = parse_format(fmt)
-    return b"".join(d.packer(d.checker(v)) for d, v in zip(dirs, values))
-
-
-def _legacy_frame(packet: Packet) -> bytes:
-    """Seed Packet.to_bytes: rebuilt per call, payload buffer still cached."""
-    header = _legacy_pack(
-        HEADER_FMT, (packet.stream_id, packet.tag, packet.src, packet.hops, packet.fmt)
-    )
-    body = packet.payload_ref().serialize()
-    return _legacy_pack("%ac %ac", (header, body))
-
-
-def _legacy_tcp_multicast(transport: TCPTransport, src, dsts, direction, packet):
-    """Seed data plane: per-child serialization + header concat + sendall."""
-    code = _DIR_CODE[direction]
-    for dst in dsts:
-        conn = transport._conns[(src, dst)]
-        body = _legacy_frame(packet)
-        frame = _HDR.pack(len(body), code, src) + body
-        with conn._wlock:
-            conn.sock.sendall(frame)
-
-
-def _legacy_thread_multicast(transport: ThreadTransport, src, dsts, direction, packet):
-    """Seed fan-out: one send (one Envelope allocation) per child."""
-    for dst in dsts:
-        transport.send(src, dst, direction, packet)
-
-
-class _NoBatchInbox:
-    """Hides get_batch so NodeRunner falls back to one get per wakeup."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def get(self, timeout=None):
-        return self._inner.get(timeout=timeout)
-
-
-class _LegacyTransport:
-    """Hides multicast/get_batch: the duck-typed pre-change transport."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def inbox(self, rank):
-        return _NoBatchInbox(self._inner.inbox(rank))
-
-    def send(self, *args, **kwargs):
-        return self._inner.send(*args, **kwargs)
-
-
-def _legacy_next_timer_delay(self):
-    """Seed timer scan: every stream's next_deadline(), every wakeup."""
-    earliest = None
-    for st in self.streams.values():
-        d = st.sync.next_deadline()
-        if d is not None and (earliest is None or d < earliest):
-            earliest = d
-    if earliest is None:
-        return None
-    return max(0.0, earliest - self.clock())
-
-
-def _legacy_fire_timers(self):
-    now = self.clock()
-    for st in list(self.streams.values()):
-        for batch in st.sync.on_timer(now, st.ctx):
-            self._run_transform(st, batch)
-
-
-# ---------------------------------------------------------------------------
-# Benchmarks
-# ---------------------------------------------------------------------------
-
-def bench_node_throughput(fanout: int, n_waves: int, legacy: bool) -> float:
+def bench_node_throughput(fanout: int, n_waves: int) -> float:
     """Packets/sec through one NodeRunner fed a pre-loaded backlog."""
-    import types
-
     topo = flat_topology(fanout)
     transport = ThreadTransport()
     transport.bind(topo)
@@ -152,11 +60,7 @@ def bench_node_throughput(fanout: int, n_waves: int, legacy: bool) -> float:
         if delivered[0] >= n_waves:
             done.set()
 
-    runner_transport = _LegacyTransport(transport) if legacy else transport
-    node = NodeRunner(0, topo, runner_transport, default_registry, deliver_up=deliver)
-    if legacy:
-        node._next_timer_delay = types.MethodType(_legacy_next_timer_delay, node)
-        node._fire_timers = types.MethodType(_legacy_fire_timers, node)
+    node = NodeRunner(0, topo, transport, default_registry, deliver_up=deliver)
     spec = StreamSpec(1, tuple(topo.backends), "sum", "wait_for_all")
     node.handle(
         Envelope(
@@ -188,9 +92,9 @@ def bench_node_throughput(fanout: int, n_waves: int, legacy: bool) -> float:
 
 
 def bench_tcp_roundtrip(n_iters: int, payload: bytes) -> dict:
-    """Round-trips/sec of one frame down and back over a real socket edge."""
+    """Round-trips/sec of one frame down and back over a reactor socket edge."""
     topo = flat_topology(1)
-    transport = TCPTransport()
+    transport = ReactorTransport()
     transport.bind(topo)
     try:
         down = transport.inbox(1)
@@ -215,43 +119,32 @@ def bench_multicast(
     fanout: int,
     payload_nbytes: int,
     n_iters: int,
-    legacy: bool,
     repeats: int = 5,
 ) -> float:
     """Sender packets/sec of a k-way multicast (frames/sec pushed).
 
-    Times the send loop only — the optimization under test is the
-    sending node's per-multicast cost (serialization + write calls).
-    Children drain concurrently and every frame's delivery is verified,
-    but the receive-side parse (identical in both modes) is not timed.
+    Times the send loop only — the sending node's per-multicast cost
+    (serialization + enqueue).  Children's inboxes are filled
+    concurrently and every frame's delivery is verified, but the
+    receive-side parse is not timed; see
+    :func:`bench_multicast_sustained` for the delivered rate.
 
     Each timed window sends ``n_iters`` multicasts and the inboxes are
     fully drained (untimed) between windows, so small-payload windows
-    fit in the kernel socket buffers instead of measuring flow-control
-    backpressure; the best of ``repeats`` windows is returned.
+    fit in the send queues and kernel socket buffers instead of
+    measuring backpressure; the best of ``repeats`` windows is returned.
     """
     topo = flat_topology(fanout)
-    transport = TCPTransport() if kind == "tcp" else ThreadTransport()
+    transport = ReactorTransport() if kind == "tcp" else ThreadTransport()
     transport.bind(topo)
     try:
         children = topo.children(0)
         payload = bytes(payload_nbytes)
 
-        if legacy:
-            raw = _legacy_tcp_multicast if kind == "tcp" else _legacy_thread_multicast
-
-            def send_all(pkt):
-                raw(transport, 0, children, Direction.DOWNSTREAM, pkt)
-
-        else:
-
-            def send_all(pkt):
-                transport.multicast(0, children, Direction.DOWNSTREAM, pkt)
-
         def delivered():
             # Frames land in unbounded inboxes (put there directly by the
-            # thread transport, or by the TCP reader threads after parse),
-            # so queue sizes count deliveries without a consumer thread
+            # thread transport, or by the reactor thread after parse), so
+            # queue sizes count deliveries without a consumer thread
             # competing for the GIL during the timed window.
             return sum(transport.inbox(c).qsize() for c in children)
 
@@ -262,10 +155,10 @@ def bench_multicast(
             ]
             t0 = time.perf_counter()
             for pkt in packets:
-                send_all(pkt)
+                transport.multicast(0, children, Direction.DOWNSTREAM, pkt)
             elapsed = time.perf_counter() - t0
             best = max(best, n_iters * fanout / elapsed)
-            # Untimed: let the readers fully catch up before the next window.
+            # Untimed: let the reactor fully catch up before the next window.
             deadline = time.time() + 120
             while delivered() < rep * n_iters * fanout:
                 if time.time() > deadline:
@@ -280,30 +173,15 @@ def bench_multicast(
 
 
 # ---------------------------------------------------------------------------
-# Reactor vs threaded transport at high fanout (ISSUE 4)
+# Reactor transport at high fanout
 # ---------------------------------------------------------------------------
 
-def _make_socket_transport(kind: str):
-    if kind == "reactor":
-        from repro.transport.reactor import ReactorTransport
-
-        return ReactorTransport()
-    return TCPTransport()
-
-
-def _io_thread_count(kind: str) -> int:
-    """Live transport I/O threads (reactor loop or per-connection readers).
-
-    Filtered by the kind under test so readers from a just-shut-down
-    transport of the other kind, still winding down, don't pollute the
-    count.
-    """
-    prefix = "tbon-reactor" if kind == "reactor" else "tbon-tcp-read"
-    return sum(1 for t in threading.enumerate() if t.name.startswith(prefix))
+def _io_thread_count() -> int:
+    """Live reactor I/O threads in this process."""
+    return sum(1 for t in threading.enumerate() if t.name.startswith("tbon-reactor"))
 
 
 def bench_multicast_sustained(
-    kind: str,
     fanout: int,
     payload_nbytes: int,
     n_iters: int,
@@ -314,19 +192,18 @@ def bench_multicast_sustained(
     Unlike :func:`bench_multicast` (sender-side cost only), the clock
     stops when every frame has been parsed into a child inbox — the
     reactor enqueues asynchronously, so charging only the send loop
-    would credit it for work it had not done yet.  Both transports are
-    measured under the identical delivered-throughput definition.
+    would credit it for work it had not done yet.
 
     Returns ``(best packets/sec, I/O thread count)`` — the thread count
-    is the O(1)-vs-O(fanout) acceptance datum.
+    is the O(1)-per-process acceptance datum.
     """
     topo = flat_topology(fanout)
-    transport = _make_socket_transport(kind)
+    transport = ReactorTransport()
     transport.bind(topo)
     try:
         children = topo.children(0)
         payload = bytes(payload_nbytes)
-        io_threads = _io_thread_count(kind)
+        io_threads = _io_thread_count()
 
         best = 0.0
         for rep in range(1, repeats + 1):
@@ -340,9 +217,7 @@ def bench_multicast_sustained(
                 transport.multicast(0, children, Direction.DOWNSTREAM, pkt)
             while sum(transport.inbox(c).qsize() for c in children) < target:
                 if time.time() > deadline:
-                    raise RuntimeError(
-                        f"sustained multicast bench ({kind}) lost frames"
-                    )
+                    raise RuntimeError("sustained multicast bench lost frames")
                 time.sleep(0.0005)
             elapsed = time.perf_counter() - t0
             best = max(best, n_iters * fanout / elapsed)
@@ -351,18 +226,14 @@ def bench_multicast_sustained(
     return best, io_threads
 
 
-def bench_reduction_wave(
-    kind: str, fanout: int, n_waves: int, repeats: int = 3
-) -> tuple[float, int]:
+def bench_reduction_wave(fanout: int, n_waves: int, repeats: int = 3) -> tuple[float, int]:
     """Leaf packets/sec of full sum-reduction waves over a live Network.
 
     Every back-end sends ``n_waves`` values; the front-end receives
     ``n_waves`` reduced results.  This exercises the whole data plane —
     leaf sends, node filter pipeline, upstream forwarding — over real
-    sockets, where the threaded transport also pays for ~2×fanout reader
-    threads competing with the fanout application threads.  Best of
-    ``repeats`` fresh networks: with >100 runnable threads the
-    scheduler's mood swamps a single measurement.
+    sockets.  Best of ``repeats`` fresh networks: with ~fanout runnable
+    application threads the scheduler's mood swamps a single measurement.
     """
     from repro.core.network import Network
 
@@ -370,9 +241,9 @@ def bench_reduction_wave(
     io_threads = 0
     for _ in range(repeats):
         topo = flat_topology(fanout)
-        net = Network(topo, transport=_make_socket_transport(kind))
+        net = Network(topo, transport="tcp")
         try:
-            io_threads = _io_thread_count(kind)
+            io_threads = _io_thread_count()
             s = net.new_stream(transform="sum", sync="wait_for_all")
 
             def leaf(be):
@@ -398,13 +269,13 @@ def bench_reduction_wave(
 
 
 def run_reactor_suite(quick: bool, out_path: str) -> None:
-    """The ISSUE 4 acceptance suite: reactor vs threaded at high fanout."""
+    """Sustained multicast and reduction waves on the reactor at high fanout."""
     results: dict = {
         "meta": {
             "quick": quick,
             "python": platform.python_version(),
             "platform": platform.platform(),
-            "suite": "reactor-vs-threaded",
+            "suite": "reactor",
         }
     }
 
@@ -414,61 +285,35 @@ def run_reactor_suite(quick: bool, out_path: str) -> None:
     for fanout in fanouts:
         n = 20 if quick else 100
         reps = 2 if quick else 5
-        threaded_pps, threaded_io = bench_multicast_sustained(
-            "threads", fanout, 64, n, repeats=reps
+        pps, io = bench_multicast_sustained(fanout, 64, n, repeats=reps)
+        multicast.append(
+            {
+                "fanout": fanout,
+                "payload_bytes": 64,
+                "iters": n,
+                "reactor_pps": pps,
+                "reactor_io_threads": io,
+            }
         )
-        reactor_pps, reactor_io = bench_multicast_sustained(
-            "reactor", fanout, 64, n, repeats=reps
-        )
-        entry = {
-            "fanout": fanout,
-            "payload_bytes": 64,
-            "iters": n,
-            "threaded_pps": threaded_pps,
-            "reactor_pps": reactor_pps,
-            "speedup": reactor_pps / threaded_pps,
-            "threaded_io_threads": threaded_io,
-            "reactor_io_threads": reactor_io,
-        }
-        multicast.append(entry)
-        print(
-            f"sustained multicast fanout={fanout} 64B: "
-            f"threaded {threaded_pps:,.0f} ({threaded_io} io threads) -> "
-            f"reactor {reactor_pps:,.0f} ({reactor_io} io threads), "
-            f"{entry['speedup']:.2f}x"
-        )
-        if reactor_io > 2:
-            raise RuntimeError(
-                f"reactor used {reactor_io} I/O threads (acceptance bound: 2)"
-            )
+        print(f"sustained multicast fanout={fanout} 64B: {pps:,.0f} pkt/s ({io} io threads)")
+        if io > 2:
+            raise RuntimeError(f"reactor used {io} I/O threads (acceptance bound: 2)")
     results["multicast_sustained"] = multicast
 
     waves = []
     for fanout in fanouts:
         n_waves = 5 if quick else 30
         reps = 2 if quick else 3
-        threaded_pps, threaded_io = bench_reduction_wave(
-            "threads", fanout, n_waves, repeats=reps
+        pps, io = bench_reduction_wave(fanout, n_waves, repeats=reps)
+        waves.append(
+            {
+                "fanout": fanout,
+                "waves": n_waves,
+                "reactor_pps": pps,
+                "reactor_io_threads": io,
+            }
         )
-        reactor_pps, reactor_io = bench_reduction_wave(
-            "reactor", fanout, n_waves, repeats=reps
-        )
-        entry = {
-            "fanout": fanout,
-            "waves": n_waves,
-            "threaded_pps": threaded_pps,
-            "reactor_pps": reactor_pps,
-            "speedup": reactor_pps / threaded_pps,
-            "threaded_io_threads": threaded_io,
-            "reactor_io_threads": reactor_io,
-        }
-        waves.append(entry)
-        print(
-            f"reduction wave fanout={fanout}: "
-            f"threaded {threaded_pps:,.0f} ({threaded_io} io threads) -> "
-            f"reactor {reactor_pps:,.0f} ({reactor_io} io threads), "
-            f"{entry['speedup']:.2f}x"
-        )
+        print(f"reduction wave fanout={fanout}: {pps:,.0f} pkt/s ({io} io threads)")
     results["reduction_wave"] = waves
 
     Path(out_path).write_text(json.dumps(results, indent=2) + "\n")
@@ -488,7 +333,7 @@ def main() -> None:
     ap.add_argument(
         "--reactor",
         action="store_true",
-        help="run the reactor-vs-threaded high-fanout suite instead",
+        help="run the high-fanout reactor suite instead",
     )
     ap.add_argument(
         "--reactor-out",
@@ -510,24 +355,14 @@ def main() -> None:
         }
     }
 
-    # 1. fanout-16 node throughput, batched loop vs legacy loop.
+    # 1. fanout-16 node throughput.
     waves = 200 if q else 3000
-    legacy_pps = bench_node_throughput(16, waves, legacy=True)
     with instrument_capture() as cap:
-        fast_pps = bench_node_throughput(16, waves, legacy=False)
-    results["node_fanout16"] = {
-        "waves": waves,
-        "legacy_pps": legacy_pps,
-        "fast_pps": fast_pps,
-        "speedup": fast_pps / legacy_pps,
-        "telemetry": cap.as_dict(),
-    }
-    print(
-        f"node fanout=16: {legacy_pps:,.0f} -> {fast_pps:,.0f} pkt/s "
-        f"({fast_pps / legacy_pps:.2f}x)"
-    )
+        pps = bench_node_throughput(16, waves)
+    results["node_fanout16"] = {"waves": waves, "pps": pps, "telemetry": cap.as_dict()}
+    print(f"node fanout=16: {pps:,.0f} pkt/s")
 
-    # 2. TCP frame round-trip.
+    # 2. reactor socket frame round-trip.
     with instrument_capture() as cap:
         rt = bench_tcp_roundtrip(100 if q else 2000, bytes(64))
     rt["telemetry"] = cap.as_dict()
@@ -537,48 +372,35 @@ def main() -> None:
         f"({rt['mean_rtt_us']:.1f} us)"
     )
 
-    # 3. fanout-16 TCP multicast amplification (the headline number).
+    # 3. fanout-16 socket multicast (the headline number).
     n, reps = (50, 3) if q else (150, 7)
-    legacy_pps = bench_multicast("tcp", 16, 64, n, legacy=True, repeats=reps)
     with instrument_capture() as cap:
-        fast_pps = bench_multicast("tcp", 16, 64, n, legacy=False, repeats=reps)
+        pps = bench_multicast("tcp", 16, 64, n, repeats=reps)
     results["multicast_fanout16_tcp_64B"] = {
         "iters": n,
-        "legacy_pps": legacy_pps,
-        "fast_pps": fast_pps,
-        "speedup": fast_pps / legacy_pps,
+        "pps": pps,
         "telemetry": cap.as_dict(),
     }
-    print(
-        f"tcp multicast fanout=16 64B: {legacy_pps:,.0f} -> {fast_pps:,.0f} pkt/s "
-        f"({fast_pps / legacy_pps:.2f}x)"
-    )
+    print(f"tcp multicast fanout=16 64B: {pps:,.0f} pkt/s")
 
     # 4. sweep for EXPERIMENTS.md: transport x fanout x payload.
     sweep = []
-    payloads = [64, 65536]
     for kind in ("thread", "tcp"):
         for fanout in (4, 16):
-            for nbytes in payloads:
+            for nbytes in (64, 65536):
                 n = 30 if q else (50 if nbytes == 65536 else 150)
                 reps = 2 if q else 5
-                lp = bench_multicast(kind, fanout, nbytes, n, legacy=True, repeats=reps)
-                fp = bench_multicast(kind, fanout, nbytes, n, legacy=False, repeats=reps)
+                pps = bench_multicast(kind, fanout, nbytes, n, repeats=reps)
                 sweep.append(
                     {
                         "transport": kind,
                         "fanout": fanout,
                         "payload_bytes": nbytes,
                         "iters": n,
-                        "legacy_pps": lp,
-                        "fast_pps": fp,
-                        "speedup": fp / lp,
+                        "pps": pps,
                     }
                 )
-                print(
-                    f"sweep {kind} fanout={fanout} payload={nbytes}B: "
-                    f"{lp:,.0f} -> {fp:,.0f} pkt/s ({fp / lp:.2f}x)"
-                )
+                print(f"sweep {kind} fanout={fanout} payload={nbytes}B: {pps:,.0f} pkt/s")
     results["multicast_sweep"] = sweep
 
     Path(args.out).write_text(json.dumps(results, indent=2) + "\n")

@@ -38,7 +38,7 @@ def measure_one(enabled: bool, fanout: int, waves: int) -> float:
     prev = TELEMETRY.enabled
     TELEMETRY.enabled = enabled
     try:
-        return bench_node_throughput(fanout, waves, legacy=False)
+        return bench_node_throughput(fanout, waves)
     finally:
         TELEMETRY.enabled = prev
 

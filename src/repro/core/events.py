@@ -85,13 +85,12 @@ class Direction(Enum):
 
     @property
     def wire_code(self) -> int:
-        """Single-byte code used in the socket transports' frame header.
+        """Single-byte code used in the socket transport's frame header.
 
         The frame layout (docs/PROTOCOL.md §2) is
         ``u32 length | u8 direction | i32 src``; this is the ``u8``:
-        0 = upstream, 1 = downstream.  Both the threaded TCP transport
-        and the reactor transport encode with this property and decode
-        with :meth:`from_wire`, so the two implementations cannot drift.
+        0 = upstream, 1 = downstream.  The reactor transport encodes
+        with this property and decodes with :meth:`from_wire`.
         """
         return 0 if self is Direction.UPSTREAM else 1
 

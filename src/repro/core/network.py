@@ -23,13 +23,12 @@ sockets.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..analysis.locks import make_lock
 from .backend import BackEnd
-from .errors import NetworkShutdownError, StreamError, TopologyError, TransportError
+from .errors import NetworkShutdownError, StreamError, TopologyError
 from .events import (
     CONTROL_STREAM_ID,
     Direction,
@@ -40,6 +39,7 @@ from .events import (
     TAG_SHUTDOWN,
     TAG_STREAM_CREATE,
     TAG_TELEMETRY,
+    TAG_TOPOLOGY_ATTACH,
 )
 from .filter_registry import FilterRegistry, default_registry
 from .frontend import FrontEnd
@@ -48,42 +48,10 @@ from .packet import Packet
 from .stream import Stream
 from .topology import Topology
 
+if TYPE_CHECKING:
+    from ..transport.base import Transport
+
 __all__ = ["Network"]
-
-#: Environment variable selecting the socket transport implementation
-#: behind ``transport="tcp"`` (documented next to TBON_TELEMETRY /
-#: TBON_LOCKCHECK in the README).
-TRANSPORT_ENV_VAR = "TBON_TRANSPORT"
-
-
-def _make_socket_transport(kind: str) -> Any:
-    """Materialize a named localhost-TCP transport.
-
-    ``"tcp"`` resolves through :data:`TRANSPORT_ENV_VAR`: the
-    selector-reactor transport by default, or the legacy
-    thread-per-connection transport under ``TBON_TRANSPORT=threads``
-    (kept for one release as a fallback).  ``"reactor"`` and
-    ``"tcp-threads"`` name an implementation explicitly, bypassing the
-    environment.
-    """
-    if kind == "tcp":
-        env = os.environ.get(TRANSPORT_ENV_VAR, "").strip().lower()
-        if env in ("", "reactor", "tcp"):
-            kind = "reactor"
-        elif env in ("threads", "thread", "tcp-threads"):
-            kind = "tcp-threads"
-        else:
-            raise TransportError(
-                f"unknown {TRANSPORT_ENV_VAR} value {env!r} "
-                "(expected 'reactor' or 'threads')"
-            )
-    if kind == "reactor":
-        from ..transport.reactor import ReactorTransport
-
-        return ReactorTransport()
-    from ..transport.tcp import TCPTransport
-
-    return TCPTransport()
 
 
 class Network:
@@ -91,14 +59,9 @@ class Network:
 
     Args:
         topology: the process tree to materialize.
-        transport: ``"thread"`` (default), ``"tcp"``, ``"reactor"``,
-            ``"tcp-threads"``, or a pre-built
-            :class:`~repro.transport.base.Transport` instance.
-            ``"tcp"`` selects the default socket implementation — the
-            selector-reactor transport — unless the ``TBON_TRANSPORT``
-            environment variable names one explicitly (``reactor`` or
-            ``threads``, the legacy thread-per-connection fallback kept
-            for one release).
+        transport: ``"thread"`` (default), ``"tcp"`` (the selector-reactor
+            socket transport; ``"reactor"`` is a synonym), or a
+            pre-built :class:`~repro.transport.base.Transport` instance.
         registry: filter registry (defaults to the process-wide one with
             MRNet's built-ins).
     """
@@ -123,9 +86,11 @@ class Network:
             from ..transport.local import ThreadTransport
 
             transport = ThreadTransport()
-        elif transport in ("tcp", "reactor", "tcp-threads"):
-            transport = _make_socket_transport(transport)
-        self.transport = transport
+        elif transport in ("tcp", "reactor"):
+            from ..transport.reactor import ReactorTransport
+
+            transport = ReactorTransport()
+        self.transport: Transport = transport
         self.transport.bind(topology)
 
         # Non-leaf ranks run communication processes.
@@ -225,35 +190,37 @@ class Network:
         memberships were fixed at creation); streams created afterwards
         may include it.
 
-        Requires a transport with live rebinding (the thread transport);
-        returns the new :class:`BackEnd` handle.
+        Every transport rebinds live; returns the new :class:`BackEnd`
+        handle.
         """
         self._check_alive()
-        if not hasattr(self.transport, "rebind"):
-            raise StreamError(
-                f"{type(self.transport).__name__} does not support live attach"
-            )
         if parent_rank not in self.nodes:
             raise StreamError(
                 f"rank {parent_rank} is not a running communication process"
             )
-        from .events import TAG_TOPOLOGY_ATTACH
-
         new_topo, new_rank = self.topology.attach_backend(parent_rank)
         self.transport.rebind(new_topo)
         self.topology = new_topo
         self._backends[new_rank] = BackEnd(new_rank, new_topo, self.transport)
-        reconfig = Packet(CONTROL_STREAM_ID, TAG_TOPOLOGY_ATTACH, "%o", (new_topo,))
-        for rank in self.nodes:
-            self.transport.inbox(rank).put(
-                Envelope(src=-1, direction=Direction.DOWNSTREAM, packet=reconfig)
-            )
-        for rank in new_topo.backends:
-            if rank != new_rank:
-                self.transport.inbox(rank).put(
-                    Envelope(src=-1, direction=Direction.DOWNSTREAM, packet=reconfig)
-                )
+        self.push_topology()
         return self._backends[new_rank]
+
+    def push_topology(self) -> None:
+        """Deliver the current topology to every process of the network.
+
+        The one topology push, used by live attach, failure recovery and
+        the chaos engine's anti-entropy pass.  The ``TAG_TOPOLOGY_ATTACH``
+        packet goes straight into each communication process's and
+        back-end's inbox rather than through the tree — the tree is what
+        changed, and direct delivery works while edges are degraded.
+        Processes adopt the topology idempotently and never forward it.
+        """
+        reconfig = Packet(
+            CONTROL_STREAM_ID, TAG_TOPOLOGY_ATTACH, "%o", (self.topology,)
+        )
+        env = Envelope(src=-1, direction=Direction.DOWNSTREAM, packet=reconfig)
+        for rank in [*self.nodes, *self.topology.backends]:
+            self.transport.inbox(rank).put(env)
 
     # -- endpoints ---------------------------------------------------------------
     def backend(self, rank: int) -> BackEnd:

@@ -9,10 +9,12 @@ filter, then forwarding toward the front-end, exactly as Figure 1 of the
 paper describes.
 
 The loop is transport-independent: it sees only an
-:class:`~repro.transport.base.Inbox` and the transport's ``send``; the
-thread transport runs one Python thread per node, the TCP transport the
-same but with socket-fed inboxes, and the discrete-event simulator
-re-uses :class:`StreamState`'s filter pipeline with virtual time.
+:class:`~repro.transport.base.Inbox` and the
+:class:`~repro.transport.base.Transport` contract.  Every node runs on
+its own Python thread; on the thread transport its inbox is fed by
+in-process queue puts, on the socket transport by the reactor thread.
+(The discrete-event simulator in :mod:`repro.simulate` models waves
+separately and does not run this loop.)
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import logging
 import queue
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..telemetry.registry import Registry, SIZE_BOUNDS, TELEMETRY as _TEL
 from .errors import (
@@ -49,6 +51,9 @@ from .filter_registry import FilterRegistry
 from .filters import FilterContext, SynchronizationFilter, TransformationFilter
 from .packet import Packet
 from .topology import Topology
+
+if TYPE_CHECKING:
+    from ..transport.base import Transport
 
 __all__ = ["StreamState", "NodeRunner"]
 
@@ -92,7 +97,7 @@ class NodeRunner:
         self,
         rank: int,
         topology: Topology,
-        transport: Any,
+        transport: Transport,
         registry: FilterRegistry,
         *,
         deliver_up: Callable[[Envelope], None] | None = None,
@@ -126,8 +131,6 @@ class NodeRunner:
         self._timed_streams: dict[int, StreamState] = {}
         self._deadline_dirty = True
         self._cached_deadline: float | None = None
-        # Duck-typed transports (tests, simulators) may predate multicast.
-        self._multicast = getattr(transport, "multicast", None)
         # Per-node telemetry registry: the unit the in-tree stats
         # reduction aggregates (docs/OBSERVABILITY.md).  Instruments are
         # created once here; hot paths pay one TELEMETRY.enabled check.
@@ -178,17 +181,12 @@ class NodeRunner:
         ``self.error`` rather than killing the thread silently.
         """
         inbox = self.transport.inbox(self.rank)
-        get_batch = getattr(inbox, "get_batch", None)
-        qsize = getattr(inbox, "qsize", None)
         n_batches = 0
         self.running = True
         while self.running:
             timeout = self._next_timer_delay()
             try:
-                if get_batch is not None:
-                    batch = get_batch(self.batch_max, timeout=timeout)
-                else:  # duck-typed inbox without batching
-                    batch = [inbox.get(timeout=timeout)]
+                batch = inbox.get_batch(self.batch_max, timeout=timeout)
             except queue.Empty:
                 batch = []
             except ChannelClosedError:
@@ -196,12 +194,12 @@ class NodeRunner:
             if _TEL.enabled and batch:
                 self._m_batch.observe(len(batch))
                 n_batches += 1
-                if qsize is not None and not n_batches % 32:
+                if not n_batches % 32:
                     # Residual depth after the drain: backlog the batch
                     # cap left behind (0 = the node is keeping up).
                     # Sampled 1-in-32: qsize() takes the queue mutex and
                     # would contend with producers on every drain.
-                    self._m_inbox_depth.set(qsize())
+                    self._m_inbox_depth.set(inbox.qsize())
             for env in batch:
                 try:
                     self.handle(env)
@@ -213,7 +211,7 @@ class NodeRunner:
                     # this node itself was just killed (failure injection
                     # severs its channels before the loop notices
                     # running=False).
-                    if getattr(self.transport, "closing", False) or not self.running:
+                    if self.transport.closing or not self.running:
                         self.running = False
                         break
                     self.error = exc
@@ -532,7 +530,7 @@ class NodeRunner:
             # Reporting itself raced channel teardown.  The error is
             # already recorded in self.error; only the front-end's copy
             # of the TAG_ERROR packet is lost.
-            if not getattr(self.transport, "closing", False) and self.running:
+            if not self.transport.closing and self.running:
                 _LOG.warning(
                     "node %d could not report error upstream: %s",
                     self.rank,
@@ -611,12 +609,12 @@ class NodeRunner:
         window is the documented loss window of reference [2]; it is a
         race to be tolerated, not a node failure to be reported.
         """
-        if getattr(self.transport, "rebinding", False):
+        if self.transport.rebinding:
             # Mid-rebind the new tree is visible before its repaired
             # connections exist; sends in that window are the loss the
             # recovery docs accept.
             return True
-        topo: Topology | None = getattr(self.transport, "topology", None)
+        topo = self.transport.topology
         if topo is None:
             return False
         if self.rank not in topo or dst not in topo:
@@ -666,8 +664,8 @@ class NodeRunner:
         once per extra recipient — MRNet's counted packet references: one
         payload object placed in multiple outgoing buffers.  The actual
         fan-out goes through :meth:`Transport.multicast` so transports
-        can share per-packet work (the TCP transport serializes the wire
-        frame exactly once for all k children).
+        can share per-packet work (the socket transport serializes the
+        wire frame exactly once for all k children).
         """
         kids = list(children)
         if not kids:
@@ -677,11 +675,7 @@ class NodeRunner:
         if len(kids) > 1:
             packet.payload_ref().incref(len(kids) - 1)
         try:
-            if self._multicast is not None:
-                self._multicast(self.rank, kids, Direction.DOWNSTREAM, packet)
-            else:
-                for c in kids:
-                    self.transport.send(self.rank, c, Direction.DOWNSTREAM, packet)
+            self.transport.multicast(self.rank, kids, Direction.DOWNSTREAM, packet)
         except (TransportError, TopologyError):
             # Tolerate sends racing a recovery rebind: if any recipient's
             # edge is gone from the transport's current tree, the whole

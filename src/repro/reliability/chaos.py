@@ -7,7 +7,7 @@ chaos half of the reliability package: a fault **schedule** generated
 from ``random.Random(seed)`` (pure in the seed — same seed, same
 schedule, same fault trace) executed by a :class:`ChaosEngine` through a
 :class:`ChaosTransport` wrapper that interposes on every data send of
-any transport (thread, threaded TCP, reactor).
+either transport (thread or reactor).
 
 Fault model (docs/RELIABILITY.md):
 
@@ -21,8 +21,8 @@ Fault model (docs/RELIABILITY.md):
   directions of one edge (a transient link partition);
 * ``reset`` — the edge's connections are torn down mid-run
   (ECONNRESET semantics) and then repaired via
-  ``reset_edge``/``reconnect_edge`` (no-op on transports without
-  per-edge connections);
+  ``reset_edge``/``reconnect_edge`` (a no-op on the thread transport,
+  which has no per-edge connections);
 * ``crash`` — an internal communication process is killed after its
   Nth data send, then :func:`~repro.reliability.recovery.recover_from_failure`
   repairs the tree.
@@ -57,7 +57,7 @@ from ..core.errors import (
     TransportError,
 )
 from ..core.events import CONTROL_STREAM_ID, Direction, FIRST_APPLICATION_TAG
-from ..core.network import Network, _make_socket_transport
+from ..core.network import Network
 from ..core.topology import Topology, balanced_topology
 from ..telemetry.registry import GLOBAL as _REGISTRY, TELEMETRY as _TEL
 from ..transport.base import Inbox, Transport
@@ -317,10 +317,6 @@ class ChaosEngine:
         net = self._network
         if net is None:
             return
-        reset = getattr(net.transport, "reset_edge", None)
-        reconnect = getattr(net.transport, "reconnect_edge", None)
-        if reset is None or reconnect is None:
-            return  # thread transport has no per-edge connections
         topo = net.topology
         if src not in topo or dst not in topo:
             return  # edge vanished (a crash beat this reset)
@@ -328,8 +324,8 @@ class ChaosEngine:
         if topo.parent(child) != parent:
             return
         try:
-            reset(parent, child)
-            reconnect(parent, child)
+            net.transport.reset_edge(parent, child)
+            net.transport.reconnect_edge(parent, child)
         except (TransportError, TopologyError, ChannelClosedError):
             pass  # a reset racing recovery is a no-op, not an error
 
@@ -405,10 +401,12 @@ class ChaosTransport(Transport):
     """The sanctioned fault-injection wrapper around a real transport.
 
     Every data send funnels through the engine's ``_chaos_apply`` hook
-    (tboncheck rule TB701 rejects that hook anywhere else); everything
-    the wrapper does not explicitly interpose — ``rebind``,
-    ``disconnect_rank``, backpressure attributes, inboxes — delegates to
-    the wrapped transport, so recovery and chaos compose on any backend.
+    (tboncheck rule TB701 rejects that hook anywhere else); every other
+    :class:`Transport` member — rebinding, channel control, backpressure
+    attributes, inboxes — delegates explicitly to the wrapped transport,
+    so recovery and chaos compose on either backend.  (Each one must be
+    spelled out: the base class defines them all, so nothing would fall
+    through to the inner transport on its own.)
     """
 
     def __init__(self, inner: Transport, engine: ChaosEngine):
@@ -426,6 +424,10 @@ class ChaosTransport(Transport):
         return self.inner.closing
 
     @property
+    def rebinding(self) -> bool:  # type: ignore[override]
+        return self.inner.rebinding
+
+    @property
     def send_queue_limit(self) -> int | None:  # type: ignore[override]
         return self.inner.send_queue_limit
 
@@ -435,6 +437,18 @@ class ChaosTransport(Transport):
 
     def bind(self, topology: Topology) -> None:
         self.inner.bind(topology)
+
+    def rebind(self, topology: Topology) -> None:
+        self.inner.rebind(topology)
+
+    def disconnect_rank(self, rank: int) -> None:
+        self.inner.disconnect_rank(rank)
+
+    def reset_edge(self, a: int, b: int) -> None:
+        self.inner.reset_edge(a, b)
+
+    def reconnect_edge(self, parent: int, child: int) -> None:
+        self.inner.reconnect_edge(parent, child)
 
     def inbox(self, rank: int) -> Inbox:
         return self.inner.inbox(rank)
@@ -453,9 +467,6 @@ class ChaosTransport(Transport):
     def shutdown(self) -> None:
         self.engine.stop()
         self.inner.shutdown()
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.inner, name)
 
 
 # -- harness ----------------------------------------------------------------
@@ -504,8 +515,10 @@ def _make_inner_transport(kind: str) -> Transport:
         from ..transport.local import ThreadTransport
 
         return ThreadTransport()
-    if kind in ("tcp", "reactor", "tcp-threads"):
-        return _make_socket_transport(kind)
+    if kind in ("tcp", "reactor"):
+        from ..transport.reactor import ReactorTransport
+
+        return ReactorTransport()
     raise ValueError(f"unknown transport {kind!r}")
 
 

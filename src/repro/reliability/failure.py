@@ -54,12 +54,10 @@ class FailureInjector:
             raise NodeFailureError(f"rank {rank} already failed")
         node = net.nodes[rank]
         node.running = False
-        # On socket transports, sever the dead rank's connections as an
-        # *expected* close first, so surviving peers log an orderly
-        # disconnect rather than a reader/reactor error (teardown race).
-        disconnect = getattr(net.transport, "disconnect_rank", None)
-        if disconnect is not None:
-            disconnect(rank)
+        # Sever the dead rank's channels as an *expected* close first, so
+        # surviving peers see an orderly disconnect rather than a reactor
+        # error (teardown race).  A no-op on the thread transport.
+        net.transport.disconnect_rank(rank)
         net.transport.inbox(rank).close()  # unblocks the loop, closes channel
         node.join(timeout=2.0)
         self.failed.add(rank)

@@ -6,11 +6,12 @@ reconfigures and re-routes traffic without any data loss" for data still
 in surviving queues.  Recovery here re-parents the failed node's
 children onto its parent (the minimal structure-preserving repair),
 rebinds the transport — the thread transport remaps queues; the socket
-transports reconnect the surviving edges with capped exponential backoff
-plus jitter (:func:`repro.transport.tcp.connect_with_backoff`), the
-reactor re-registering each repaired channel with its event loop — then
-replays the topology push and rechecks blocked synchronization waves so
-reductions waiting on the lost subtree release.
+transport reconnects the surviving edges with capped exponential backoff
+plus jitter (:func:`repro.transport.tcp.connect_with_backoff`) and
+re-registers each repaired channel with its event loop — then pushes the
+new topology to every process (:meth:`Network.push_topology`), whose
+nodes recheck blocked synchronization waves so reductions waiting on the
+lost subtree release.
 
 Guarantees (asserted by the test suite):
 
@@ -31,15 +32,8 @@ from __future__ import annotations
 
 import time
 
-from ..core.errors import RecoveryError, TransportError
-from ..core.events import (
-    CONTROL_STREAM_ID,
-    Direction,
-    Envelope,
-    TAG_TOPOLOGY_ATTACH,
-)
+from ..core.errors import RecoveryError
 from ..core.network import Network
-from ..core.packet import Packet
 from ..core.topology import Topology
 from ..telemetry.registry import GLOBAL as _REGISTRY, TELEMETRY as _TEL
 
@@ -48,70 +42,37 @@ __all__ = ["broadcast_topology", "recover_from_failure"]
 _m_latency = _REGISTRY.histogram("tbon_recovery_latency_seconds")
 
 
-def _topology_packet(topo: Topology) -> Packet:
-    return Packet(CONTROL_STREAM_ID, TAG_TOPOLOGY_ATTACH, "%o", (topo,))
-
-
 def broadcast_topology(network: Network) -> None:
     """Push the network's current topology to every process's inbox.
 
-    Anti-entropy pass: delivered directly (not routed through the tree)
-    so it works even while tree edges are degraded.  Used after chaos
-    storms to guarantee convergence on the final membership.
+    Anti-entropy pass used after chaos storms to guarantee convergence
+    on the final membership; the push itself is
+    :meth:`Network.push_topology`.
     """
-    transport = network.transport
-    reconfig = _topology_packet(network.topology)
-    env = Envelope(src=-1, direction=Direction.DOWNSTREAM, packet=reconfig)
-    for rank in network.nodes:
-        transport.inbox(rank).put(env)
-    for rank in network.topology.backends:
-        transport.inbox(rank).put(env)
+    network.push_topology()
 
 
 def recover_from_failure(network: Network, failed_rank: int) -> Topology:
     """Repair the tree after ``failed_rank`` died; returns the new topology.
 
-    The failed node's children are adopted by its parent.  The new
-    topology is replayed over the repaired tree edges where possible
-    (exercising the reconnected channels); any edge that cannot carry it
-    yet falls back to direct inbox delivery — the tree is what broke,
-    so the push must not depend on it.
+    The failed node's children are adopted by its parent, the transport
+    rebinds onto the new tree, and every surviving process receives the
+    new topology directly in its inbox — the tree is what broke, so the
+    push must not depend on it.
     """
     t0 = time.perf_counter()
-    transport = network.transport
     old_topo = network.topology
     if failed_rank not in old_topo:
         raise RecoveryError(f"rank {failed_rank} not in topology")
     dead_node = network.nodes.get(failed_rank)
     if dead_node is not None and dead_node.running:
         raise RecoveryError(f"rank {failed_rank} is still running; kill it first")
-    if not hasattr(transport, "rebind"):
-        raise RecoveryError(
-            f"{type(transport).__name__} does not support live reconfiguration"
-        )
 
     new_topo = old_topo.replace_subtree_parent(failed_rank)
-    transport.rebind(new_topo)
+    network.transport.rebind(new_topo)
     network.topology = new_topo
     network.nodes.pop(failed_rank, None)
-
-    reconfig = _topology_packet(new_topo)
-    root = new_topo.root
-    transport.inbox(root).put(
-        Envelope(src=-1, direction=Direction.DOWNSTREAM, packet=reconfig)
-    )
-    for rank in list(network.nodes) + list(new_topo.backends):
-        if rank == root:
-            continue
-        parent = new_topo.parent(rank)
-        try:
-            # Replay over the repaired edge — proves the reconnected
-            # channel carries traffic, as the paper's TCP push would.
-            transport.send(parent, rank, Direction.DOWNSTREAM, reconfig)
-        except TransportError:
-            transport.inbox(rank).put(
-                Envelope(src=-1, direction=Direction.DOWNSTREAM, packet=reconfig)
-            )
+    network.push_topology()
     if _TEL.enabled:
         _m_latency.observe(time.perf_counter() - t0)
     return new_topo

@@ -3,16 +3,12 @@
 from .base import Inbox, Transport
 from .local import ThreadTransport
 
-__all__ = ["Inbox", "Transport", "ThreadTransport", "TCPTransport", "ReactorTransport"]
+__all__ = ["Inbox", "Transport", "ThreadTransport", "ReactorTransport"]
 
 
 def __getattr__(name: str):
-    # The socket transports are imported lazily: they spin up socket
+    # The socket transport is imported lazily: it spins up socket
     # machinery that pure in-process users never need.
-    if name == "TCPTransport":
-        from .tcp import TCPTransport
-
-        return TCPTransport
     if name == "ReactorTransport":
         from .reactor import ReactorTransport
 

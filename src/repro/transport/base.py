@@ -6,9 +6,8 @@ conduits through which application-level packets flow".  A
 into per-rank inboxes plus a send primitive along tree edges; everything
 above this layer (node event loops, filters, streams) is
 transport-independent, so the same middleware runs over in-process
-queues (:mod:`repro.transport.local`), real TCP sockets
-(:mod:`repro.transport.tcp`) or virtual time
-(:mod:`repro.simulate`).
+queues (:mod:`repro.transport.local`) or real TCP sockets driven by one
+selector loop (:mod:`repro.transport.reactor`).
 
 Guarantees every transport must provide:
 
@@ -23,6 +22,7 @@ from __future__ import annotations
 
 import abc
 import queue
+import threading
 from typing import Any, Sequence
 
 from ..core.errors import ChannelClosedError, TransportError
@@ -135,7 +135,10 @@ class Transport(abc.ABC):
     """Factory for the channels of one instantiated network.
 
     Lifecycle: ``bind(topology)`` once, then :meth:`send` along tree
-    edges, then :meth:`shutdown`.  Ranks are the topology's ranks.
+    edges (and :meth:`rebind` on live reconfiguration), then
+    :meth:`shutdown`.  Ranks are the topology's ranks.  Every member the
+    node loops, recovery and chaos layers use is declared here, so no
+    caller has to probe a transport for a capability.
 
     Backpressure contract (docs/PROTOCOL.md §7): transports advertise
     their send-side flow-control policy through two attributes so
@@ -143,9 +146,9 @@ class Transport(abc.ABC):
 
     * :attr:`send_queue_limit` — frames a bounded transport will queue
       per peer before ``send()`` stops accepting more.  ``None`` means
-      unbounded buffering (no transport-level backpressure; the threaded
-      TCP transport and the in-process thread transport behave this way,
-      bounded only by the kernel socket buffer / memory).
+      unbounded buffering (no transport-level backpressure; the
+      in-process thread transport behaves this way, bounded only by
+      memory).
     * :attr:`blocking_sends` — with a bounded queue, ``True`` makes
       ``send()`` block until space frees (backpressure propagates to the
       producing node), ``False`` makes it fail fast with
@@ -157,9 +160,17 @@ class Transport(abc.ABC):
     #: Bounded-queue policy: block at the high-water mark (True) or raise
     #: :class:`~repro.core.errors.ChannelBusyError` immediately (False).
     blocking_sends: bool = True
+    #: True while :meth:`rebind` swaps edges — the new topology is
+    #: visible before its connections exist, and senders (node event
+    #: loops) use this to classify failures in that window as the
+    #: documented reconfiguration loss, not node errors.
+    rebinding: bool = False
 
     def __init__(self) -> None:
         self.topology: Topology | None = None
+        self._inboxes: dict[int, Inbox] = {}
+        # Set first thing in every shutdown(); see :attr:`closing`.
+        self._closing = threading.Event()
 
     @property
     def closing(self) -> bool:
@@ -169,7 +180,7 @@ class Transport(abc.ABC):
         racing shutdown raises :class:`ChannelClosedError`, which is
         expected) from a genuine mid-run channel failure.
         """
-        return False
+        return self._closing.is_set()
 
     def backpressure_policy(self) -> dict[str, Any]:
         """The transport's send-side flow-control contract as a dict."""
@@ -183,8 +194,20 @@ class Transport(abc.ABC):
         """Create channels for every edge of ``topology``."""
 
     @abc.abstractmethod
+    def rebind(self, topology: Topology) -> None:
+        """Adopt a reconfigured ``topology`` on the live transport.
+
+        Used by live attach and failure recovery: surviving ranks keep
+        their inboxes and channels (no data loss on what did not break),
+        newly attached ranks get fresh ones.
+        """
+
     def inbox(self, rank: int) -> Inbox:
         """The receive queue for ``rank``."""
+        try:
+            return self._inboxes[rank]
+        except KeyError:
+            raise TransportError(f"rank {rank} has no inbox (not bound?)") from None
 
     @abc.abstractmethod
     def send(self, src: int, dst: int, direction: Direction, packet: Any) -> None:
@@ -196,16 +219,34 @@ class Transport(abc.ABC):
         """Send one packet to several destinations (all tree edges).
 
         Transports override this to share per-packet work across the
-        fan-out: the TCP transport serializes the wire frame once for
-        all k sockets, the thread transport enqueues one shared
+        fan-out: the reactor transport serializes the wire frame once
+        for all k sockets, the thread transport enqueues one shared
         envelope.  The default is a plain per-destination send loop.
         """
         for dst in dsts:
             self.send(src, dst, direction, packet)
 
+    # -- per-edge channel control ------------------------------------------
+    # Failure injection and chaos act on individual channels.  The
+    # in-process transport has no per-edge channels (a send is a queue
+    # put), so for it these are documented no-ops; the socket transport
+    # overrides all three.
+    def disconnect_rank(self, rank: int) -> None:
+        """Sever every channel touching ``rank`` (crash semantics)."""
+
+    def reset_edge(self, a: int, b: int) -> None:
+        """Tear down the channel pair of edge ``(a, b)`` mid-run."""
+
+    def reconnect_edge(self, parent: int, child: int) -> None:
+        """Re-establish one tree edge (the repair half of a reset)."""
+
     @abc.abstractmethod
     def shutdown(self) -> None:
-        """Close all channels and release transport resources."""
+        """Close all channels and release transport resources.
+
+        Implementations set ``self._closing`` before tearing anything
+        down, so :attr:`closing` reads True for the whole teardown.
+        """
 
     # -- shared helpers ----------------------------------------------------
     def _check_edge(self, src: int, dst: int) -> None:

@@ -30,10 +30,6 @@ _m_delivered = _TELEMETRY.counter(
 class ThreadTransport(Transport):
     """Queues-as-channels transport for single-process networks."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._inboxes: dict[int, Inbox] = {}
-
     def bind(self, topology: Topology) -> None:
         if self.topology is not None:
             raise TransportError("transport already bound")
@@ -41,22 +37,12 @@ class ThreadTransport(Transport):
         self._inboxes = {rank: Inbox() for rank in topology.ranks}
 
     def rebind(self, topology: Topology) -> None:
-        """Adopt a reconfigured topology, creating inboxes for new ranks.
-
-        Used by the recovery machinery: surviving ranks keep their
-        queues (no data loss), newly attached ranks get fresh ones.
-        """
+        """Adopt a reconfigured topology, creating inboxes for new ranks."""
         if self.topology is None:
             raise TransportError("transport is not bound")
         self.topology = topology
         for rank in topology.ranks:
             self._inboxes.setdefault(rank, Inbox())
-
-    def inbox(self, rank: int) -> Inbox:
-        try:
-            return self._inboxes[rank]
-        except KeyError:
-            raise TransportError(f"rank {rank} has no inbox (not bound?)") from None
 
     def send(self, src: int, dst: int, direction: Direction, packet: Any) -> None:
         self._check_edge(src, dst)
@@ -78,5 +64,6 @@ class ThreadTransport(Transport):
             self.inbox(dst).put(env)
 
     def shutdown(self) -> None:
+        self._closing.set()
         for inbox in self._inboxes.values():
             inbox.close()

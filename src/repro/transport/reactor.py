@@ -1,11 +1,13 @@
 """Reactor transport: one selector event loop for every TCP channel.
 
-The threaded TCP transport (:mod:`repro.transport.tcp`) spends a parent's
-scaling headroom on O(fanout) blocking reader threads and one blocking
-``sendmsg`` syscall per frame.  This module keeps the identical wire
-format — ``u32 length | u8 direction | i32 src | packet bytes``, the same
-rank-hello bind handshake, the same serialize-once multicast — but drives
-every socket from a **single** I/O thread:
+The socket transport behind ``transport="tcp"``.  Every tree edge is one
+localhost TCP connection carrying frames of
+``u32 length | u8 direction | i32 src | packet bytes`` (the rank-hello
+bind handshake and the blocking edge setup live in
+:mod:`repro.transport.tcp`), and a serialize-once multicast writes one
+memoized wire frame to k channels.  Every socket is driven from a
+**single** I/O thread, so a parent pays O(1) I/O threads instead of
+O(fanout):
 
 * **Read side** — sockets are non-blocking, so reads are partial by
   nature; :class:`_FrameDecoder` turns PR 1's ``recv_into`` buffer
@@ -16,8 +18,7 @@ every socket from a **single** I/O thread:
   to the rank's inbox as one batch (:meth:`Inbox.put_many`); large
   bodies are received straight into the decoder's body buffer to avoid
   the extra copy.  A completed frame is parsed with
-  :meth:`Packet.from_bytes` over a view, exactly like the threaded
-  reader.
+  :meth:`Packet.from_bytes` over a view.
 * **Write side** — ``send()`` never touches the socket.  It packs the
   9-byte frame header, appends ``(header, body)`` to the peer's bounded
   send queue and wakes the reactor (one wakeup byte per queue
@@ -39,9 +40,6 @@ Static discipline: tboncheck rule TB601 forbids direct blocking socket
 calls in this module.  All socket I/O goes through the ``_nb_*`` helpers
 (which translate EAGAIN into ``None``), and the blocking bind-time
 handshake is delegated to :func:`repro.transport.tcp.establish_edges`.
-
-Selected by default for ``transport="tcp"``; set ``TBON_TRANSPORT=threads``
-to fall back to the threaded implementation for one release.
 """
 
 from __future__ import annotations
@@ -148,8 +146,7 @@ class _FrameDecoder:
     nothing beyond the kernel's copy — PR 1's ``recv_into`` discipline
     carried over to partial, non-blocking reads.  The returned body view
     is only valid until the next ``advance`` that re-enters body state;
-    :meth:`Packet.from_bytes` copies what it keeps, same as the threaded
-    reader.
+    :meth:`Packet.from_bytes` copies what it keeps.
     """
 
     __slots__ = ("_hdr", "_body", "_got", "_length", "_dir", "_src", "_in_body")
@@ -607,14 +604,13 @@ class Reactor:
 class ReactorTransport(_EdgeRepairMixin, Transport):
     """Localhost-TCP channels multiplexed onto one reactor thread.
 
-    Same wire format, bind handshake and FIFO/delivery guarantees as
-    :class:`~repro.transport.tcp.TCPTransport`, with O(1) I/O threads per
-    process instead of O(edges), coalesced vectored writes, and bounded
-    send queues providing real backpressure (see the module docstring and
+    FIFO per channel and reliable while the channel is open, with O(1)
+    I/O threads per process, coalesced vectored writes, and bounded send
+    queues providing real backpressure (see the module docstring and
     docs/PROTOCOL.md §7).
 
     Args:
-        host: bind address (localhost only, as with the threaded transport).
+        host: bind address (localhost only).
         connect_timeout: bind-time accept/connect timeout in seconds.
         max_queue_frames: per-peer send-queue high-water mark in frames.
         block_on_full: True → ``send()`` blocks at the high-water mark;
@@ -644,15 +640,9 @@ class ReactorTransport(_EdgeRepairMixin, Transport):
         self.blocking_sends = bool(block_on_full)
         self.send_block_timeout = send_block_timeout
         self._reactor = Reactor(coalesce_max=coalesce_max)
-        self._inboxes: dict[int, Inbox] = {}
         # (owner_rank, peer_rank) -> connection used by owner to reach peer
         self._conns: dict[tuple[int, int], _ReactorConnection] = {}
         self._listeners: dict[int, socket.socket] = {}
-        self._closing = threading.Event()
-
-    @property
-    def closing(self) -> bool:
-        return self._closing.is_set()
 
     def _attach(self, owner: int, peer: int, sock: socket.socket) -> None:
         conn = _ReactorConnection(sock, self._inboxes[owner], owner, self._reactor)
@@ -661,13 +651,9 @@ class ReactorTransport(_EdgeRepairMixin, Transport):
         # starts, so bind and recovery share this one attach path.
         self._reactor.register_live(conn)
 
-    def _drop_conn(
-        self, key: tuple[int, int], *, expected: bool = True
-    ) -> "_ReactorConnection | None":
+    def _drop_conn(self, key: tuple[int, int]) -> "_ReactorConnection | None":
         conn = self._conns.pop(key, None)
         if conn is not None:
-            if expected:
-                conn.expect_close()
             self._reactor.drop_live(conn)
         return conn
 
@@ -685,12 +671,6 @@ class ReactorTransport(_EdgeRepairMixin, Transport):
         if missing:
             raise TransportError(f"reactor edges failed to establish: {missing}")
         self._reactor.start()
-
-    def inbox(self, rank: int) -> Inbox:
-        try:
-            return self._inboxes[rank]
-        except KeyError:
-            raise TransportError(f"rank {rank} has no inbox (not bound?)") from None
 
     def _enqueue(self, src: int, dst: int, header: bytes, body: bytes) -> None:
         conn = self._conns.get((src, dst))

@@ -16,9 +16,8 @@ The invariants cross-linked from docs/RELIABILITY.md:
 * ``test_same_seed_identical_trace`` — same seed, byte-identical fault
   trace (the replay guarantee).
 
-The invariant runs go over ``transport="tcp"``, which resolves through
-``TBON_TRANSPORT`` — CI's chaos job sweeps both socket transports with
-the same tests.  Trace determinism runs on the thread transport where
+The invariant runs go over ``transport="tcp"`` (the reactor socket
+transport).  Trace determinism runs on the thread transport where
 per-edge ordinals are fully count-driven; ``crash``/``reset`` timing is
 wall-clock and deliberately outside the trace contract.
 """

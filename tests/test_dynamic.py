@@ -100,22 +100,6 @@ class TestLiveAttach:
         finally:
             net.shutdown()
 
-    def test_attach_requires_rebind_capability(self):
-        """A transport without rebind() cannot host live attach."""
-        import types
-
-        net = Network(balanced_topology(2, 2))
-        try:
-            real = net.transport
-            net.transport = types.SimpleNamespace(inbox=real.inbox)
-            try:
-                with pytest.raises(StreamError, match="does not support"):
-                    net.attach_backend(net.topology.internals[0])
-            finally:
-                net.transport = real
-        finally:
-            net.shutdown()
-
 
 class _Negate(TransformationFilter):
     def transform(self, packets, ctx):

@@ -27,7 +27,7 @@ from repro.core.serialization import pack_payload, unpack_payload
 from repro.core.topology import balanced_topology, flat_topology
 from repro.transport.base import Inbox
 from repro.transport.local import ThreadTransport
-from repro.transport.tcp import TCPTransport
+from repro.transport.reactor import ReactorTransport
 
 
 # -- Packet frame memoization -------------------------------------------------
@@ -55,14 +55,14 @@ class TestFrameCache:
         assert cached == fresh
 
 
-# -- serialize-once multicast over TCP ---------------------------------------
+# -- serialize-once multicast over sockets -----------------------------------
 
 
 class TestSerializeOnceMulticast:
     def test_to_bytes_called_once_per_multicast(self, monkeypatch):
-        """Acceptance: a k-way TCP multicast invokes to_bytes exactly once."""
+        """Acceptance: a k-way socket multicast invokes to_bytes exactly once."""
         topo = flat_topology(4)  # root 0 with 4 back-end children
-        transport = TCPTransport()
+        transport = ReactorTransport()
         transport.bind(topo)
         try:
             calls = {"n": 0}

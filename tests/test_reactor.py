@@ -5,7 +5,7 @@ The reactor multiplexes every TCP channel onto one selector thread
 separately — the :class:`_FrameDecoder` state machine byte by byte, a
 single :class:`_ReactorConnection` over a socketpair with the loop
 stopped (so queue/drain behaviour is deterministic), and whole live
-trees under both ``TBON_TRANSPORT`` modes.
+trees over ``transport="tcp"``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from repro.core.packet import Packet
 from repro.telemetry.registry import GLOBAL, SIZE_BOUNDS, disable, enable
 from repro.transport.base import Inbox
 from repro.transport.reactor import Reactor, ReactorTransport, _FrameDecoder, _ReactorConnection
-from repro.transport.tcp import _HDR, TCPTransport
+from repro.transport.local import ThreadTransport
+from repro.transport.tcp import _HDR
 from conftest import send_from_all
 
 TAG = FIRST_APPLICATION_TAG
@@ -281,8 +282,8 @@ class TestBackpressure:
         transport = ReactorTransport(max_queue_frames=16, block_on_full=False)
         policy = transport.backpressure_policy()
         assert policy == {"send_queue_limit": 16, "blocking_sends": False}
-        # The threaded transport advertises unbounded buffering.
-        assert TCPTransport().backpressure_policy() == {
+        # The thread transport advertises unbounded buffering.
+        assert ThreadTransport().backpressure_policy() == {
             "send_queue_limit": None,
             "blocking_sends": True,
         }
@@ -310,24 +311,19 @@ class TestBackpressure:
         assert "tbon_reactor_backpressure_stalls_total" in snap["counters"]
 
 
-@pytest.mark.parametrize("mode", ["reactor", "threads"])
-class TestLiveTreeBothModes:
-    """Satellite requirement: the tier-1 live-tree path under both
-    TBON_TRANSPORT modes."""
+class TestLiveTree:
+    """The tier-1 live-tree path over ``transport="tcp"``."""
 
-    def test_env_selects_implementation_and_sum_reduces(self, mode, monkeypatch):
-        monkeypatch.setenv("TBON_TRANSPORT", mode)
+    def test_tcp_builds_reactor_and_sum_reduces(self):
         with Network(balanced_topology(2, 2), transport="tcp") as net:
-            expected_cls = ReactorTransport if mode == "reactor" else TCPTransport
-            assert isinstance(net.transport, expected_cls)
+            assert isinstance(net.transport, ReactorTransport)
             s = net.new_stream(transform="sum", sync="wait_for_all")
             send_from_all(net, s, TAG, "%d", lambda r: r * r)
             expected = sum(r * r for r in net.topology.backends)
             assert s.recv(timeout=15).values[0] == expected
             assert net.node_errors() == {}
 
-    def test_multi_wave_fifo(self, mode, monkeypatch):
-        monkeypatch.setenv("TBON_TRANSPORT", mode)
+    def test_multi_wave_fifo(self):
         with Network(flat_topology(4), transport="tcp") as net:
             s = net.new_stream(transform="concat", sync="wait_for_all")
 
@@ -347,8 +343,7 @@ class TestLiveTreeBothModes:
 
 class TestReactorThreadCount:
     def test_io_threads_are_o1(self):
-        """Acceptance: reactor I/O threads <= 2 regardless of fanout, where
-        the threaded transport needs O(fanout) readers."""
+        """Acceptance: reactor I/O threads <= 2 regardless of fanout."""
         fanout = 16
         with Network(flat_topology(fanout), transport="reactor") as net:
             s = net.new_stream(transform="sum", sync="wait_for_all")
@@ -358,23 +353,5 @@ class TestReactorThreadCount:
                 t for t in threading.enumerate() if t.name.startswith("tbon-reactor")
             ]
             assert 1 <= len(reactor_io) <= 2
-            threaded_readers = [
-                t for t in threading.enumerate() if t.name.startswith("tbon-tcp-read")
-            ]
-            assert not threaded_readers
             assert net.node_errors() == {}
 
-    def test_explicit_kind_bypasses_env(self, monkeypatch):
-        monkeypatch.setenv("TBON_TRANSPORT", "threads")
-        with Network(flat_topology(2), transport="reactor") as net:
-            assert isinstance(net.transport, ReactorTransport)
-        monkeypatch.setenv("TBON_TRANSPORT", "reactor")
-        with Network(flat_topology(2), transport="tcp-threads") as net:
-            assert isinstance(net.transport, TCPTransport)
-
-    def test_unknown_env_value_rejected(self, monkeypatch):
-        from repro.core.errors import TransportError
-
-        monkeypatch.setenv("TBON_TRANSPORT", "carrier-pigeon")
-        with pytest.raises(TransportError):
-            Network(flat_topology(2), transport="tcp")

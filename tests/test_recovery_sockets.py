@@ -1,14 +1,10 @@
-"""Failure injection and recovery over the socket transports.
+"""Failure injection and recovery over the socket transport.
 
 Every recovery scenario from ``test_reliability.py`` — which runs on the
-thread transport — replayed over both socket backends: the selector
-reactor and the legacy thread-per-connection TCP transport.  PR 4 made
-the reactor the default for ``transport="tcp"``; this suite is what
-replaced the old "TCP raises on recovery" assertions when the rebind
-restriction was lifted: ``recover_from_failure`` reconnects surviving
-edges with backoff, re-registers repaired channels with the event loop
-(reactor) or respawns readers (tcp), and replays the topology push over
-the repaired edges themselves.
+thread transport — replayed over the selector-reactor socket transport:
+``recover_from_failure`` reconnects surviving edges with backoff,
+re-registers the repaired channels with the event loop, and pushes the
+new topology to every process.
 """
 
 from __future__ import annotations
@@ -25,9 +21,9 @@ from repro.reliability import FailureInjector, recover_from_failure
 TAG = FIRST_APPLICATION_TAG
 
 
-@pytest.fixture(params=["reactor", "tcp-threads"])
+@pytest.fixture(params=["reactor"])
 def socket_net(request):
-    """A live depth-2 network over each socket transport implementation."""
+    """A live depth-2 network over the socket transport."""
     net = Network(balanced_topology(3, 2), transport=request.param)
     yield net
     net.shutdown()
@@ -50,7 +46,7 @@ class TestFailureInjection:
         """Regression: the teardown race the chaos work exposed.
 
         ``kill_node`` on a socket transport used to leave surviving
-        peers' readers (or reactor channels) reporting an abrupt error;
+        peers' reactor channels reporting an abrupt error;
         with the per-edge expected-close gate they see an orderly close,
         so a kill + recover cycle emits no termination warnings.
         """

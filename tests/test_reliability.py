@@ -116,22 +116,6 @@ class TestRecovery:
         with pytest.raises(RecoveryError):
             recover_from_failure(net3x2, 999)
 
-    def test_recovery_requires_rebind_capability(self, net3x2):
-        """Socket transports recover now (test_recovery_sockets.py); the
-        capability check still guards transports without ``rebind``."""
-        import types
-
-        victim = net3x2.topology.internals[0]
-        FailureInjector(net3x2).kill_node(victim)
-        real = net3x2.transport
-        net3x2.transport = types.SimpleNamespace(inbox=real.inbox)
-        try:
-            with pytest.raises(RecoveryError, match="does not support"):
-                recover_from_failure(net3x2, victim)
-        finally:
-            net3x2.transport = real
-        recover_from_failure(net3x2, victim)  # teardown needs a sane tree
-
     def test_failure_under_active_load(self, net3x2):
         """Kill a node while back-ends are mid-burst; the network stays
         live and post-recovery waves aggregate completely."""

@@ -1,4 +1,4 @@
-"""Unit tests for the transport layer (Inbox, thread and TCP channels)."""
+"""Unit tests for the transport layer (Inbox, thread and socket channels)."""
 
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from repro.core.packet import Packet, make_packet
 from repro.core.topology import balanced_topology, flat_topology
 from repro.transport.base import Inbox
 from repro.transport.local import ThreadTransport
-from repro.transport.tcp import TCPTransport
+from repro.reliability.chaos import ChaosEngine, ChaosSchedule, ChaosTransport
+from repro.transport.reactor import ReactorTransport
 
 
 class TestInbox:
@@ -109,10 +110,10 @@ class TestThreadTransport:
             ThreadTransport().rebind(flat_topology(2))
 
 
-class TestTCPTransport:
+class TestReactorTransport:
     @pytest.fixture
     def bound(self):
-        t = TCPTransport()
+        t = ReactorTransport()
         t.bind(balanced_topology(2, 2))
         yield t
         t.shutdown()
@@ -141,7 +142,7 @@ class TestTCPTransport:
             bound.send(3, 4, Direction.UPSTREAM, make_packet(1, 100, "%d", 1))
 
     def test_send_after_shutdown_fails(self):
-        t = TCPTransport()
+        t = ReactorTransport()
         t.bind(flat_topology(2))
         t.shutdown()
         with pytest.raises(ChannelClosedError):
@@ -154,3 +155,63 @@ class TestTCPTransport:
         bound.send(1, 0, Direction.UPSTREAM, up)
         assert bound.inbox(1).get(timeout=2).packet.values == ("down",)
         assert bound.inbox(0).get(timeout=2).packet.values == ("up",)
+
+
+class _SpyTransport(ThreadTransport):
+    """Records the Transport members a wrapper must forward to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def rebind(self, topology):
+        self.calls.append(("rebind", topology))
+
+    def disconnect_rank(self, rank):
+        self.calls.append(("disconnect_rank", rank))
+
+    def reset_edge(self, a, b):
+        self.calls.append(("reset_edge", a, b))
+
+    def reconnect_edge(self, parent, child):
+        self.calls.append(("reconnect_edge", parent, child))
+
+
+class TestTransportContract:
+    @pytest.mark.parametrize("make", [ThreadTransport, ReactorTransport])
+    def test_closing_tracks_shutdown(self, make):
+        t = make()
+        t.bind(flat_topology(2))
+        try:
+            assert t.closing is False
+        finally:
+            t.shutdown()
+        assert t.closing is True
+
+    def test_chaos_wrapper_forwards_to_inner(self):
+        """Every member the base class defaults must reach the inner
+        transport, not the wrapper's inherited base implementation."""
+        spy = _SpyTransport()
+        engine = ChaosEngine(ChaosSchedule(seed=0))
+        chaos = ChaosTransport(spy, engine)
+        topo = flat_topology(2)
+        chaos.bind(topo)
+        try:
+            chaos.rebind(topo)
+            chaos.disconnect_rank(1)
+            chaos.reset_edge(0, 1)
+            chaos.reconnect_edge(0, 1)
+            assert spy.calls == [
+                ("rebind", topo),
+                ("disconnect_rank", 1),
+                ("reset_edge", 0, 1),
+                ("reconnect_edge", 0, 1),
+            ]
+            assert chaos.rebinding is False
+            spy.rebinding = True
+            assert chaos.rebinding is True
+            assert chaos.closing is False
+        finally:
+            chaos.shutdown()
+        assert spy.closing is True
+        assert chaos.closing is True
