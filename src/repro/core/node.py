@@ -13,8 +13,10 @@ The loop is transport-independent: it sees only an
 :class:`~repro.transport.base.Transport` contract.  Every node runs on
 its own Python thread; on the thread transport its inbox is fed by
 in-process queue puts, on the socket transport by the reactor thread.
-(The discrete-event simulator in :mod:`repro.simulate` models waves
-separately and does not run this loop.)
+The discrete-event simulator (:mod:`repro.simulate.simnet`) runs no
+thread and no inbox: its ``SimTransport`` calls :meth:`NodeRunner.handle`
+directly at each envelope's virtual arrival time, so simulated waves go
+through this same routing and filter pipeline.
 """
 
 from __future__ import annotations
@@ -231,7 +233,7 @@ class NodeRunner:
     def _register_stream_timers(self, st: StreamState) -> None:
         """Track ``st`` for timer scans iff its sync filter uses deadlines."""
         sync_cls = type(st.sync)
-        timed = getattr(sync_cls, "timed", False) or (
+        timed = sync_cls.timed or (
             sync_cls.next_deadline is not SynchronizationFilter.next_deadline
             or sync_cls.on_timer is not SynchronizationFilter.on_timer
         )
@@ -283,7 +285,11 @@ class NodeRunner:
 
     # -- dispatch ----------------------------------------------------------------
     def handle(self, env: Envelope) -> None:
-        """Process one envelope (exposed for simulator/tests)."""
+        """Process one envelope.
+
+        :meth:`run` calls this for every inbox envelope; the simulator's
+        ``SimTransport`` drives it directly in virtual time.
+        """
         packet: Packet = env.packet
         if packet.stream_id == CONTROL_STREAM_ID:
             self._handle_control(env)
@@ -339,9 +345,10 @@ class NodeRunner:
         )
         sync = self.registry.make_sync(spec.sync, **spec.sync_kwargs())
         down = None
-        down_name = getattr(spec, "down_transform", "")
-        if down_name:
-            down = self.registry.make_transform(down_name, **spec.transform_kwargs())
+        if spec.down_transform:
+            down = self.registry.make_transform(
+                spec.down_transform, **spec.transform_kwargs()
+            )
         st = StreamState(
             spec=spec,
             transform=transform,

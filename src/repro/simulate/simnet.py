@@ -1,51 +1,49 @@
-"""Performance simulation of TBON reductions.
+"""Performance simulation of TBON reductions on the production node loop.
 
-The functional middleware (:mod:`repro.core`) runs real packets through
-real threads or sockets; this module answers the *performance* questions
-at scales a single machine cannot host as OS processes — the paper's
-experiments go to 324 leaves on a Pentium-4/GigE cluster, and its
-overhead argument reaches 4096 back-ends.
+The functional middleware runs real packets through threads or sockets;
+this module answers the *performance* questions at scales one machine
+cannot host as OS processes (the paper's Fig. 4 reaches 324 leaves, its
+overhead argument 4096 back-ends).
 
-:class:`SimTBON` executes one reduction *phase* over an arbitrary
-:class:`~repro.core.topology.Topology` in virtual time, reproducing the
-measurement protocol of Section 3.2: "the measured processing time
-starts with the broadcast of a control message from the front-end that
-instructs the back-ends to initiate [the computation] and ends when the
-results ... are available at the front-end process."
+The simulator is a third transport, not a second middleware.
+:class:`SimTransport` implements the ``Transport`` contract in virtual
+time: every rank is a serial :class:`~repro.simulate.engine.Server` (one
+CPU) and every channel a link delay (:class:`SimCosts`).  Every non-leaf
+rank runs a real :class:`~repro.core.node.NodeRunner` on the virtual
+clock, so routing, wave alignment (the production ``wait_for_all`` and
+``null`` sync filters) and root delivery are the live system's code.
+The simulator only prices the work: serial ingest of every envelope
+(what saturates a flat front-end), link transfer, and the CPU that
+application *cost callbacks* report for leaf and merge work on
+lightweight :class:`WaveMessage` metadata.
 
-The model (calibrated constants in :class:`SimCosts`):
-
-* every process is a serial server (one CPU): receiving a message costs
-  ``per_msg_cpu + per_byte_cpu × size`` — this serial ingest is what
-  saturates a flat front-end at high fan-out;
-* links have latency plus bandwidth (GigE defaults);
-* leaf work and merge work come from application *cost callbacks*
-  operating on lightweight metadata, so the same harness simulates
-  mean-shift, Paradyn startup, or any other reduction.
-
-A second entry point, :class:`SimStreamingTBON`, models a continuous
-offered load (periodic reports from every back-end) and reports
-front-end utilization and queue growth — the Section 2.2 throughput
-claim ("the front-end could not process data at the rate it was being
-produced by more than 32 daemons").
+:class:`SimTBON` times one reduction phase with the measurement protocol
+of Section 3.2, from the front-end's start broadcast until the result
+is available at the front-end.  :class:`SimStreamingTBON` offers
+periodic reports from every back-end and measures front-end load (the
+Section 2.2 claim that one-to-many Paradyn saturated beyond 32 daemons).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import KW_ONLY, dataclass
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from ..core.errors import SimulationError
+from ..core.events import CONTROL_STREAM_ID, FIRST_APPLICATION_TAG, FIRST_STREAM_ID
+from ..core.events import TAG_STREAM_CREATE, Direction, Envelope, StreamSpec
+from ..core.filter_registry import default_registry
+from ..core.filters import FilterContext, TransformationFilter
+from ..core.node import NodeRunner
+from ..core.packet import Packet
 from ..core.topology import Topology
+from ..transport.base import Transport
 from .engine import Server, Simulator
 
 __all__ = [
-    "SimCosts",
-    "WaveMessage",
-    "PhaseReport",
-    "SimTBON",
-    "StreamingReport",
-    "SimStreamingTBON",
+    "SimCosts", "SimTransport", "WaveMessage", "PhaseReport",
+    "SimTBON", "StreamingReport", "SimStreamingTBON",
 ]
 
 
@@ -61,19 +59,14 @@ class SimCosts:
         link_bandwidth: link bandwidth in bytes/second (1 Gb/s default).
         per_msg_cpu: fixed CPU cost to receive/dispatch one message.
         per_byte_cpu: CPU cost per received byte (deserialize + copy).
-        per_byte_serialize: CPU cost per byte to produce one wire frame.
-            Charged **once per multicast**, not once per child — the
-            middleware memoizes the serialized frame and writes the same
-            buffer to every child socket (serialize-once multicast).
-            Default 0 preserves the historical calibration.
-        control_msg_bytes: size of the start-phase control message.
+        control_msg_bytes: size of a control message (stream creation,
+            the phase-start broadcast).
     """
 
     link_latency: float = 100e-6
     link_bandwidth: float = 125e6
     per_msg_cpu: float = 30e-6
     per_byte_cpu: float = 2e-9
-    per_byte_serialize: float = 0.0
     control_msg_bytes: int = 64
 
     def transfer_time(self, nbytes: float) -> float:
@@ -81,10 +74,6 @@ class SimCosts:
 
     def recv_time(self, nbytes: float) -> float:
         return self.per_msg_cpu + nbytes * self.per_byte_cpu
-
-    def serialize_time(self, nbytes: float) -> float:
-        """One-time frame serialization cost for a send or k-way multicast."""
-        return nbytes * self.per_byte_serialize
 
 
 @dataclass
@@ -101,6 +90,130 @@ LeafFn = Callable[[int], tuple[float, WaveMessage]]
 MergeFn = Callable[[int, list[WaveMessage]], tuple[float, WaveMessage]]
 
 
+def _wave_packet(stream_id: int, msg: WaveMessage) -> Packet:
+    return Packet(stream_id, FIRST_APPLICATION_TAG, "%o", (msg,))
+
+
+class _CostModelFilter(TransformationFilter):
+    """A reduction on sizes and metadata: ``merge`` (a :data:`MergeFn`)
+    builds the result, ``charge`` owes its CPU (:meth:`SimTransport.charge`)."""
+
+    def transform(self, packets: Sequence[Packet], ctx: FilterContext) -> Packet:
+        cpu, out = self.params["merge"](ctx.node_rank, [p.values[0] for p in packets])
+        self.params["charge"](ctx.node_rank, cpu)
+        return _wave_packet(ctx.stream_id, out)
+
+
+#: Loaded by name like any application filter (the dlopen-style path).
+_COST_MODEL = f"{__name__}:_CostModelFilter"
+
+
+class SimTransport(Transport):
+    """FIFO channels in virtual time: link delays plus per-rank servers.
+
+    A sent envelope travels ``transfer_time(size)``, then occupies the
+    destination's server for ``recv_time(size) / speed`` before the
+    rank's handler (``NodeRunner.handle`` or a simulated back-end) sees
+    it.  The size is the :class:`WaveMessage`'s, else
+    ``control_msg_bytes``.  Modelled compute is owed work (:meth:`charge`)
+    that :meth:`settle` serves before the rank's next send.
+    """
+
+    def __init__(
+        self,
+        costs: SimCosts | None = None,
+        node_speed: Callable[[int], float] | None = None,
+    ):
+        super().__init__()
+        self.costs = costs or SimCosts()
+        self.node_speed = node_speed or (lambda rank: 1.0)
+        #: rank -> envelope handler, run when the envelope's ingest completes.
+        self.handlers: dict[int, Callable[[Envelope], None]] = {}
+        self.sim = Simulator()
+        self.servers: dict[int, Server] = {}
+        self._owed: dict[int, float] = {}
+
+    def bind(self, topology: Topology) -> None:
+        self.rebind(topology)
+
+    def rebind(self, topology: Topology) -> None:
+        self.topology = topology
+        for rank in topology.ranks:
+            self.servers.setdefault(rank, Server(self.sim, f"node-{rank}"))
+
+    def shutdown(self) -> None:
+        self._closing.set()
+
+    def _scaled(self, rank: int, seconds: float) -> float:
+        speed = self.node_speed(rank)
+        if speed <= 0:
+            raise SimulationError(f"node {rank} speed must be positive, got {speed}")
+        return seconds / speed
+
+    def _nbytes(self, packet: Packet) -> float:
+        msg = packet.values[0] if packet.values else None
+        return msg.nbytes if isinstance(msg, WaveMessage) else self.costs.control_msg_bytes
+
+    def charge(self, rank: int, cpu_seconds: float) -> None:
+        """Owe ``cpu_seconds`` of modelled compute at ``rank``."""
+        self._owed[rank] = self._owed.get(rank, 0.0) + self._scaled(rank, cpu_seconds)
+
+    def work(self, rank: int, seconds: float, then: Callable[[], None]) -> None:
+        """Serve ``seconds`` at ``rank``, then run ``then`` (at once if none)."""
+        if seconds:
+            self.servers[rank].submit(seconds, then)
+        else:
+            then()
+
+    def settle(self, rank: int, then: Callable[[], None]) -> None:
+        """Serve ``rank``'s owed work, then run ``then``."""
+        self.work(rank, self._owed.pop(rank, 0.0), then)
+
+    def deliver(self, dst: int, env: Envelope) -> None:
+        """Ingest ``env`` at ``dst``'s server, then hand it to the handler."""
+        ingest = self._scaled(dst, self.costs.recv_time(self._nbytes(env.packet)))
+        self.servers[dst].submit(ingest, lambda: self.handlers[dst](env))
+
+    def send(self, src: int, dst: int, direction: Direction, packet: Any) -> None:
+        self._check_edge(src, dst)
+        env = Envelope(src, direction, packet)
+        delay = self.costs.transfer_time(self._nbytes(packet))
+        self.settle(src, lambda: self.sim.schedule(delay, lambda: self.deliver(dst, env)))
+
+    def build(
+        self,
+        topology: Topology,
+        sync: str,
+        merge: MergeFn | None,
+        leaf: Callable[[int, Envelope], None],
+        deliver_up: Callable[[Envelope], None],
+    ) -> int:
+        """Bind ``topology`` (NodeRunners on non-leaf ranks, ``leaf(rank, env)``
+        on back-ends) and create one stream over all back-ends reduced by
+        ``merge`` (passthrough if None).  Setup is free: the clock restarts
+        at 0.  Returns the stream id."""
+        self.bind(topology)
+        for rank in topology.ranks:
+            if topology.children(rank):
+                node = NodeRunner(
+                    rank, topology, self, default_registry,
+                    deliver_up=deliver_up, clock=lambda: self.sim.now,
+                )
+                self.handlers[rank] = node.handle
+            else:
+                self.handlers[rank] = partial(leaf, rank)
+        transform = "passthrough" if merge is None else _COST_MODEL
+        params = (("merge", merge), ("charge", self.charge))
+        members = tuple(topology.backends)
+        spec = StreamSpec(FIRST_STREAM_ID, members, transform, sync, params)
+        create = Packet(CONTROL_STREAM_ID, TAG_STREAM_CREATE, "%o", (spec,))
+        self.deliver(topology.root, Envelope(-1, Direction.DOWNSTREAM, create))
+        self.sim.run()
+        self.sim = Simulator()
+        self.servers = {r: Server(self.sim, f"node-{r}") for r in self.servers}
+        return spec.stream_id
+
+
 @dataclass
 class PhaseReport:
     """Result of one simulated reduction phase."""
@@ -108,14 +221,13 @@ class PhaseReport:
     completion_time: float
     root_result: WaveMessage
     node_busy: dict[int, float]
-    node_jobs: dict[int, int]
-    max_backlog: dict[int, float]
 
     def busiest_node(self) -> tuple[int, float]:
         rank = max(self.node_busy, key=lambda r: self.node_busy[r])
         return rank, self.node_busy[rank]
 
 
+@dataclass
 class SimTBON:
     """One-phase reduction simulator over a process tree.
 
@@ -125,103 +237,43 @@ class SimTBON:
         leaf_fn: per-leaf compute model.
         merge_fn: per-node merge model (runs at every non-leaf node on
             the full set of child results — wait_for_all semantics).
+        node_speed: per-host CPU speed multiplier (the paper's testbed
+            mixed 2.8 and 3.2 GHz Pentium 4s — heterogeneity matters
+            because wait_for_all waves complete at the *slowest* child).
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        costs: SimCosts,
-        leaf_fn: LeafFn,
-        merge_fn: MergeFn,
-        node_speed: Callable[[int], float] | None = None,
-    ):
-        self.topology = topology
-        self.costs = costs
-        self.leaf_fn = leaf_fn
-        self.merge_fn = merge_fn
-        # Per-host CPU speed multiplier (the paper's testbed mixed 2.8
-        # and 3.2 GHz Pentium 4s — heterogeneity matters because
-        # wait_for_all waves complete at the *slowest* child).
-        self.node_speed = node_speed or (lambda rank: 1.0)
-
-    def _cpu(self, rank: int, seconds: float) -> float:
-        speed = self.node_speed(rank)
-        if speed <= 0:
-            raise SimulationError(f"node {rank} speed must be positive, got {speed}")
-        return seconds / speed
+    topology: Topology
+    costs: SimCosts
+    leaf_fn: LeafFn
+    merge_fn: MergeFn
+    node_speed: Callable[[int], float] | None = None
 
     def run(self) -> PhaseReport:
         topo = self.topology
-        costs = self.costs
-        sim = Simulator()
-        servers = {rank: Server(sim, f"node-{rank}") for rank in topo.ranks}
-        pending: dict[int, list[WaveMessage]] = {r: [] for r in topo.ranks}
-        expected = {r: len(topo.children(r)) for r in topo.ranks}
-        done: dict[str, Any] = {"time": None, "result": None}
+        net = SimTransport(self.costs, self.node_speed)
+        done: list[tuple[float, WaveMessage]] = []
 
-        def send_up(rank: int) -> Callable[[WaveMessage], None]:
-            parent = topo.parent(rank)
-
-            def _send(msg: WaveMessage) -> None:
-                if parent is None:
-                    done["time"] = sim.now
-                    done["result"] = msg
-                    return
-                sim.schedule(
-                    costs.transfer_time(msg.nbytes), lambda: arrive(parent, msg)
-                )
-
-            return _send
-
-        def arrive(rank: int, msg: WaveMessage) -> None:
-            # Serial ingest at the receiving node.
-            def ingested() -> None:
-                pending[rank].append(msg)
-                if len(pending[rank]) == expected[rank]:
-                    start_merge(rank)
-
-            servers[rank].submit(self._cpu(rank, costs.recv_time(msg.nbytes)), ingested)
-
-        def start_merge(rank: int) -> None:
-            msgs = pending[rank]
-            cpu, out = self.merge_fn(rank, msgs)
-            servers[rank].submit(self._cpu(rank, cpu), lambda: send_up(rank)(out))
-
-        def start_leaf(rank: int) -> None:
+        def leaf(rank: int, env: Envelope) -> None:
+            if env.packet.stream_id == CONTROL_STREAM_ID:
+                return  # the stream announcement
             cpu, out = self.leaf_fn(rank)
-            servers[rank].submit(self._cpu(rank, cpu), lambda: send_up(rank)(out))
+            net.charge(rank, cpu)
+            net.send(rank, topo.parent(rank), Direction.UPSTREAM, _wave_packet(stream, out))
 
-        # Phase start: broadcast the control message down the tree.
-        ctrl = costs.control_msg_bytes
+        def at_root(env: Envelope) -> None:
+            result = env.packet.values[0]
+            net.settle(topo.root, lambda: done.append((net.sim.now, result)))
 
-        def broadcast(rank: int) -> None:
-            def dispatched() -> None:
-                kids = topo.children(rank)
-                if not kids:
-                    start_leaf(rank)
-                    return
-                # Serialize-once: the frame cost is paid a single time
-                # here, regardless of the fan-out below.
-                servers[rank].submit(self._cpu(rank, costs.serialize_time(ctrl)))
-                for c in kids:
-                    sim.schedule(
-                        costs.transfer_time(ctrl),
-                        lambda c=c: broadcast(c),
-                    )
-
-            servers[rank].submit(self._cpu(rank, costs.recv_time(ctrl)), dispatched)
-
-        broadcast(topo.root)
-        sim.run()
-        if done["time"] is None:
+        stream = net.build(topo, "wait_for_all", self.merge_fn, leaf, at_root)
+        # Phase start: one control-sized packet broadcast down the stream.
+        start = Packet(stream, FIRST_APPLICATION_TAG, "", ())
+        net.deliver(topo.root, Envelope(-1, Direction.DOWNSTREAM, start))
+        net.sim.run()
+        if not done:
             raise SimulationError("phase never completed (model bug?)")
-        return PhaseReport(
-            completion_time=done["time"],
-            root_result=done["result"],
-            node_busy={r: s.busy_time for r, s in servers.items()},
-            node_jobs={r: s.jobs for r, s in servers.items()},
-            max_backlog={r: s.max_backlog for r, s in servers.items()},
-        )
+        ((completion, result),) = done
+        busy = {r: s.busy_time for r, s in net.servers.items()}
+        return PhaseReport(completion_time=completion, root_result=result, node_busy=busy)
 
 
 @dataclass
@@ -246,117 +298,70 @@ class StreamingReport:
     saturated: bool
 
 
+@dataclass
 class SimStreamingTBON:
     """Continuous offered load: every back-end reports at a fixed rate.
 
     With ``aggregate=True`` internal nodes combine one report per child
-    into a single parent-bound report of size ``agg_bytes(k, child
-    sizes)`` (filter aggregation); with ``aggregate=False`` every report
-    travels to the front-end individually (the one-to-many baseline —
-    internal nodes, if any, merely forward).
+    into one report of ``agg_bytes(k_children, total_child_bytes)``
+    (default: the mean) for ``merge_cpu(k_children, total_bytes)``
+    seconds (default: 5 µs per child); with ``aggregate=False`` every
+    report travels to the front-end individually (the one-to-many
+    baseline — internal nodes, if any, merely forward).  The front-end
+    pays ``frontend_cpu_per_report`` of analysis per report it consumes
+    (Paradyn: per-function curves, display); aggregation's whole point
+    is cutting the *number* of reports it must analyze.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        costs: SimCosts,
-        *,
-        report_bytes: float,
-        report_interval: float,
-        duration: float,
-        aggregate: bool,
-        merge_cpu: Callable[[int, int], float] | None = None,
-        agg_bytes: Callable[[int, float], float] | None = None,
-        frontend_cpu_per_report: float = 0.0,
-    ):
-        self.topology = topology
-        self.costs = costs
-        self.report_bytes = report_bytes
-        self.report_interval = report_interval
-        self.duration = duration
-        self.aggregate = aggregate
-        # merge_cpu(k_children, total_bytes) -> seconds
-        self.merge_cpu = merge_cpu or (lambda k, nbytes: 5e-6 * k)
-        # agg_bytes(k_children, total_child_bytes) -> merged size
-        self.agg_bytes = agg_bytes or (lambda k, total: total / k)
-        # Application-level analysis cost the front-end pays per report
-        # it consumes (Paradyn: updating per-function curves, display).
-        # Aggregation's whole point is cutting the *number* of reports
-        # the front-end must analyze.
-        self.frontend_cpu_per_report = frontend_cpu_per_report
+    topology: Topology
+    costs: SimCosts
+    _: KW_ONLY
+    report_bytes: float
+    report_interval: float
+    duration: float
+    aggregate: bool
+    merge_cpu: Callable[[int, int], float] | None = None
+    agg_bytes: Callable[[int, float], float] | None = None
+    frontend_cpu_per_report: float = 0.0
+
+    def _merge(self, rank: int, msgs: list[WaveMessage]) -> tuple[float, WaveMessage]:
+        total = sum(m.nbytes for m in msgs)
+        k = len(msgs)
+        cpu = self.merge_cpu(k, int(total)) if self.merge_cpu else 5e-6 * k
+        nbytes = self.agg_bytes(k, total) if self.agg_bytes else total / k
+        return cpu, WaveMessage(nbytes, None)
 
     def run(self) -> StreamingReport:
         topo = self.topology
-        costs = self.costs
-        sim = Simulator()
-        servers = {rank: Server(sim, f"node-{rank}") for rank in topo.ranks}
-        root = topo.root
-        delivered = {"n": 0}
-        offered = {"n": 0}
-        # Per-node wave alignment: wave index -> messages so far.
-        waves: dict[int, dict[int, list[float]]] = {
-            r: {} for r in topo.ranks
-        }
-        expected = {r: len(topo.covering_children(r, topo.backends)) for r in topo.ranks}
+        net = SimTransport(self.costs)
+        offered: list[int] = []
+        delivered: list[float] = []
+        fe_cpu = self.frontend_cpu_per_report
 
-        def send_to_parent(rank: int, nbytes: float, wave: int) -> None:
-            parent = topo.parent(rank)
-            if parent is None:
+        def analyze() -> None:  # a job of its own after the root's merge CPU
+            net.work(topo.root, fe_cpu, lambda: delivered.append(net.sim.now))
+
+        stream = net.build(
+            topo,
+            "wait_for_all" if self.aggregate else "null",
+            self._merge if self.aggregate else None,
+            lambda rank, env: None,
+            lambda env: net.settle(topo.root, analyze),
+        )
+
+        def report(rank: int) -> None:
+            if net.sim.now > self.duration:
                 return
-            sim.schedule(
-                costs.transfer_time(nbytes),
-                lambda: arrive(parent, nbytes, wave),
-            )
-
-        def deliver_at_root() -> None:
-            if self.frontend_cpu_per_report > 0:
-                servers[root].submit(
-                    self.frontend_cpu_per_report,
-                    lambda: delivered.__setitem__("n", delivered["n"] + 1),
-                )
-            else:
-                delivered["n"] += 1
-
-        def arrive(rank: int, nbytes: float, wave: int) -> None:
-            def ingested() -> None:
-                if rank == root and not self.aggregate:
-                    deliver_at_root()
-                    return
-                bucket = waves[rank].setdefault(wave, [])
-                bucket.append(nbytes)
-                if not self.aggregate:
-                    # Forward immediately (no aggregation anywhere).
-                    send_to_parent(rank, nbytes, wave)
-                    waves[rank].pop(wave, None)
-                    return
-                if len(bucket) == expected[rank]:
-                    total = sum(bucket)
-                    waves[rank].pop(wave)
-                    merged = self.agg_bytes(len(bucket), total)
-                    cpu = self.merge_cpu(len(bucket), int(total))
-
-                    def merged_done() -> None:
-                        if rank == root:
-                            deliver_at_root()
-                        else:
-                            send_to_parent(rank, merged, wave)
-
-                    servers[rank].submit(cpu, merged_done)
-
-            servers[rank].submit(costs.recv_time(nbytes), ingested)
-
-        def leaf_report(rank: int, wave: int) -> None:
-            if sim.now > self.duration:
-                return
-            offered["n"] += 1
-            send_to_parent(rank, self.report_bytes, wave)
-            sim.schedule(self.report_interval, lambda: leaf_report(rank, wave + 1))
+            offered.append(rank)
+            msg = WaveMessage(self.report_bytes, None)
+            net.send(rank, topo.parent(rank), Direction.UPSTREAM, _wave_packet(stream, msg))
+            net.sim.schedule(self.report_interval, lambda: report(rank))
 
         for be in topo.backends:
-            sim.schedule(0.0, lambda be=be: leaf_report(be, 0))
-        sim.run(until=self.duration)
+            net.sim.schedule(0.0, lambda be=be: report(be))
+        net.sim.run(until=self.duration)
 
-        fe = servers[root]
+        fe = net.servers[topo.root]
         backlog = max(0.0, fe.free_at - self.duration)
         util = fe.utilization(self.duration)
         # Saturated if the front-end ends the run with a growing backlog
@@ -366,7 +371,7 @@ class SimStreamingTBON:
             horizon=self.duration,
             frontend_utilization=util,
             frontend_backlog=backlog,
-            delivered_waves=delivered["n"],
-            offered_waves=offered["n"],
+            delivered_waves=len(delivered),
+            offered_waves=len(offered),
             saturated=saturated,
         )

@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.harness import run_logscale_table
+from repro.core.errors import SimulationError
 from repro.core.topology import balanced_topology, deep_topology, flat_topology
+from repro.simulate import (
+    REFERENCE_MODEL,
+    meanshift_deep_topology,
+    meanshift_sim,
+    paradyn_report_stream,
+)
 from repro.simulate.simnet import (
     SimCosts,
     SimStreamingTBON,
@@ -92,6 +100,17 @@ class TestSimTBONPhase:
         rank, _busy = rep.busiest_node()
         assert rank == 0
 
+    def test_nonpositive_speed_rejected(self):
+        sim = SimTBON(
+            flat_topology(2),
+            SimCosts(),
+            trivial_leaf(),
+            counting_merge(),
+            node_speed=lambda rank: 0.0,
+        )
+        with pytest.raises(SimulationError, match="speed must be positive"):
+            sim.run()
+
 
 class TestStreaming:
     def test_unsaturated_small_flat(self):
@@ -149,3 +168,54 @@ class TestStreaming:
         # Each daemon reports at t=0,1,2,3 -> 8 offered.
         assert s.offered_waves == 8
         assert s.delivered_waves == 8
+
+
+class TestPinnedNumbers:
+    """The paper-shape series, pinned exactly.
+
+    Recorded from the simulator before it ran on the production
+    NodeRunner; any change to the cost model or to the order in which
+    the node loop sends shows up here as an inequality.
+    """
+
+    @pytest.mark.parametrize(
+        "n,flat,deep",
+        [
+            (16, 0.4336842879999998, 0.34479410399999993),
+            (64, 2.398787295999999, 0.4785054559999997),
+            (324, 53.837849256, 1.1811628959999996),
+        ],
+    )
+    def test_fig4_reference_model(self, n, flat, deep):
+        t_flat = meanshift_sim(flat_topology(n), REFERENCE_MODEL).run().completion_time
+        t_deep = (
+            meanshift_sim(meanshift_deep_topology(n), REFERENCE_MODEL)
+            .run()
+            .completion_time
+        )
+        assert (t_flat, t_deep) == (flat, deep)
+
+    def test_logscale_4096(self):
+        table = run_logscale_table(sizes=(4096,))
+        assert table.series("flat") == [0.13972956800001413]
+        assert table.series("tree") == [0.002380927999999998]
+
+    @pytest.mark.parametrize(
+        "n,aggregate,util,backlog,saturated,delivered,offered",
+        [
+            (32, False, 0.977784319999994, 0.0, False, 800, 800),
+            (48, False, 1.0, 0.2906070079999745, True, 817, 1200),
+            (512, True, 0.03076728000000003, 0.0, False, 25, 12800),
+        ],
+    )
+    def test_paradyn_report_stream(
+        self, n, aggregate, util, backlog, saturated, delivered, offered
+    ):
+        rep = paradyn_report_stream(n, aggregate=aggregate, duration=5.0).run()
+        assert (
+            rep.frontend_utilization,
+            rep.frontend_backlog,
+            rep.saturated,
+            rep.delivered_waves,
+            rep.offered_waves,
+        ) == (util, backlog, saturated, delivered, offered)

@@ -15,6 +15,7 @@ from repro.core.topology import balanced_topology, flat_topology
 from repro.transport.base import Inbox
 from repro.transport.local import ThreadTransport
 from repro.reliability.chaos import ChaosEngine, ChaosSchedule, ChaosTransport
+from repro.simulate.simnet import SimTransport
 from repro.transport.reactor import ReactorTransport
 
 
@@ -178,7 +179,7 @@ class _SpyTransport(ThreadTransport):
 
 
 class TestTransportContract:
-    @pytest.mark.parametrize("make", [ThreadTransport, ReactorTransport])
+    @pytest.mark.parametrize("make", [ThreadTransport, ReactorTransport, SimTransport])
     def test_closing_tracks_shutdown(self, make):
         t = make()
         t.bind(flat_topology(2))
