@@ -2,18 +2,18 @@
 
 A back-end is an *application* process at a leaf of the tree: it
 receives multicast packets from the front-end and sends data upstream
-into the reduction fabric.  :class:`BackEnd` runs a small listener
-thread that handles control traffic promptly (stream registration,
-close acknowledgement, shutdown) even when the application is not
-blocked in :meth:`recv`, and queues data packets for the application.
+into the reduction fabric.  :class:`BackEnd` owns no thread: it is its
+rank's endpoint, and the transport calls :meth:`BackEnd.put` on the
+delivering thread, which handles control traffic at once and queues
+data for :meth:`recv` without blocking.
 """
 
 from __future__ import annotations
 
-import queue
+import logging
 import threading
 import time
-from typing import Any
+from typing import Any, Sequence
 
 from ..analysis.locks import make_lock
 from ..telemetry.registry import Registry, TELEMETRY as _TEL
@@ -23,6 +23,7 @@ from .errors import (
     NetworkShutdownError,
     StreamClosedError,
     StreamError,
+    TransportError,
 )
 from .events import (
     CONTROL_STREAM_ID,
@@ -30,7 +31,6 @@ from .events import (
     Envelope,
     StreamSpec,
     TAG_P2P,
-    TAG_SHUTDOWN,
     TAG_STREAM_CLOSE,
     TAG_STREAM_CREATE,
     TAG_TELEMETRY,
@@ -40,6 +40,8 @@ from .packet import Packet
 from .topology import Topology
 
 __all__ = ["BackEnd"]
+
+_LOG = logging.getLogger(__name__)
 
 
 class BackEnd:
@@ -76,34 +78,45 @@ class BackEnd:
         self._m_received = self.telemetry.counter(
             "tbon_backend_packets_total", {"direction": "received"}
         )
-        self._thread = threading.Thread(
-            target=self._listen, name=f"tbon-backend-{rank}", daemon=True
-        )
-        self._thread.start()
 
-    # -- listener -----------------------------------------------------------
-    def _listen(self) -> None:
-        inbox = self.transport.inbox(self.rank)
-        while not self._shutdown.is_set():
-            try:
-                env: Envelope = inbox.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            except ChannelClosedError:
-                break
-            packet: Packet = env.packet
-            if packet.stream_id == CONTROL_STREAM_ID:
-                self._handle_control(packet)
-            else:
-                if _TEL.enabled:
-                    self._m_received.inc()
-                with self._cond:
-                    self._per_stream.setdefault(packet.stream_id, []).append(packet)
-                    self._arrivals.append(packet.stream_id)
-                    self._cond.notify_all()
-        self._shutdown.set()
+    # -- endpoint (called by the transport on the delivering thread) ----------
+    def put(self, env: Envelope) -> None:
+        """Act on a control packet, queue a data packet."""
+        if self._shutdown.is_set():
+            raise ChannelClosedError(f"back-end {self.rank} is shut down")
+        packet: Packet = env.packet
+        if packet.stream_id == CONTROL_STREAM_ID:
+            self._handle_control(packet)
+            return
+        if _TEL.enabled:
+            self._m_received.inc()
         with self._cond:
+            self._per_stream.setdefault(packet.stream_id, []).append(packet)
+            self._arrivals.append(packet.stream_id)
             self._cond.notify_all()
+
+    def put_many(self, envs: Sequence[Envelope]) -> None:
+        for env in envs:
+            self.put(env)
+
+    def close(self) -> None:
+        """Mark the back-end shut down and wake every blocked receive."""
+        with self._cond:
+            self._shutdown.set()
+            self._cond.notify_all()
+
+    def _reply(self, packet: Packet) -> None:
+        """Send a control reply upstream; the delivering thread (maybe
+        the reactor's) must not see its failure, so it is logged."""
+        try:
+            self.transport.send(self.rank, self._parent, Direction.UPSTREAM, packet)
+        except TransportError as exc:
+            if not self.transport.closing:
+                _LOG.warning(
+                    "back-end %d could not send control reply upstream: %s",
+                    self.rank,
+                    exc,
+                )
 
     def _handle_control(self, packet: Packet) -> None:
         if packet.tag == TAG_STREAM_CREATE:
@@ -117,8 +130,7 @@ class BackEnd:
                 self._closed_streams.add(stream_id)
             # Acknowledge upstream; FIFO channels guarantee any data this
             # back-end already sent is ahead of the ack, so nothing is lost.
-            ack = Packet(CONTROL_STREAM_ID, TAG_STREAM_CLOSE, "%d", (stream_id,))
-            self.transport.send(self.rank, self._parent, Direction.UPSTREAM, ack)
+            self._reply(Packet(CONTROL_STREAM_ID, TAG_STREAM_CLOSE, "%d", (stream_id,)))
         elif packet.tag == TAG_P2P:
             # A routed peer message terminating here: unwrap and queue it
             # under the reserved P2P pseudo-stream (id 0).
@@ -138,15 +150,8 @@ class BackEnd:
             # In-tree stats reduction: answer with this leaf's registry
             # snapshot; parents merge it on the way up (PROTOCOL.md §4).
             (req_id,) = packet.values
-            reply = Packet(
-                CONTROL_STREAM_ID,
-                TAG_TELEMETRY,
-                "%d %o",
-                (req_id, self.telemetry.snapshot()),
-            )
-            self.transport.send(self.rank, self._parent, Direction.UPSTREAM, reply)
-        elif packet.tag == TAG_SHUTDOWN:
-            self._shutdown.set()
+            snap = (req_id, self.telemetry.snapshot())
+            self._reply(Packet(CONTROL_STREAM_ID, TAG_TELEMETRY, "%d %o", snap))
         # Other control traffic (filter loads...) needs no back-end action.
 
     # -- application API ------------------------------------------------------
@@ -271,17 +276,12 @@ class BackEnd:
                     raise NetworkShutdownError(
                         f"back-end {self.rank} is shut down"
                     )
-                wait = 0.1 if deadline is None else min(0.1, deadline - time.monotonic())
-                if deadline is not None and wait <= 0:
+                wait = None if deadline is None else deadline - time.monotonic()
+                if wait is not None and wait <= 0:
                     raise TimeoutError(
                         f"back-end {self.rank}: no packet within {timeout}s"
                     )
                 self._cond.wait(wait)
-
-    def stop(self) -> None:
-        """Stop the listener thread (idempotent)."""
-        self._shutdown.set()
-        self._thread.join(timeout=2.0)
 
     @property
     def is_shut_down(self) -> bool:

@@ -3,8 +3,9 @@
 The TBON control plane rides on the same packet mechanism as application
 data: control packets use the reserved stream id 0 and tags below
 :data:`FIRST_APPLICATION_TAG`.  Communication processes interpret these
-packets to build per-stream routing state, load filters dynamically, and
-shut the tree down; everything else is forwarded untouched.
+packets to build per-stream routing state and load filters dynamically;
+everything else is forwarded untouched.  Shutdown is not a message: the
+network closes every rank's endpoint directly.
 
 Reserved control tags (keep in sync with the constants below and the
 table in docs/PROTOCOL.md §4):
@@ -15,7 +16,7 @@ table in docs/PROTOCOL.md §4):
    1  TAG_STREAM_CREATE     instantiate per-stream filter state
    2  TAG_STREAM_CLOSE      loss-free close handshake (down + up ack)
    3  TAG_FILTER_LOAD       resolve a filter by name at every node
-   4  TAG_SHUTDOWN          halt the event loops
+   4  (retired)             formerly TAG_SHUTDOWN; never reused
    5  TAG_TOPOLOGY_ATTACH   adopt reconfigured routing state (recovery)
    6  TAG_TOPOLOGY_DETACH   announce a departing subtree
    7  TAG_HEARTBEAT         liveness probe
@@ -39,7 +40,6 @@ __all__ = [
     "TAG_STREAM_CREATE",
     "TAG_STREAM_CLOSE",
     "TAG_FILTER_LOAD",
-    "TAG_SHUTDOWN",
     "TAG_TOPOLOGY_ATTACH",
     "TAG_TOPOLOGY_DETACH",
     "TAG_HEARTBEAT",
@@ -63,7 +63,7 @@ FIRST_STREAM_ID = 1
 TAG_STREAM_CREATE = 1
 TAG_STREAM_CLOSE = 2
 TAG_FILTER_LOAD = 3
-TAG_SHUTDOWN = 4
+# Tag 4 (TAG_SHUTDOWN) is retired: shutdown closes endpoints directly.
 TAG_TOPOLOGY_ATTACH = 5
 TAG_TOPOLOGY_DETACH = 6
 TAG_HEARTBEAT = 7

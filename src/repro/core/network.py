@@ -36,7 +36,6 @@ from .events import (
     FIRST_STREAM_ID,
     StreamSpec,
     TAG_FILTER_LOAD,
-    TAG_SHUTDOWN,
     TAG_STREAM_CREATE,
     TAG_TELEMETRY,
     TAG_TOPOLOGY_ATTACH,
@@ -91,6 +90,10 @@ class Network:
 
             transport = ReactorTransport()
         self.transport: Transport = transport
+        # Leaves are application back-ends, each its rank's endpoint.
+        self._backends = {r: BackEnd(r, topology, transport) for r in topology.backends}
+        for rank, be in self._backends.items():
+            transport.set_endpoint(rank, be)
         self.transport.bind(topology)
 
         # Non-leaf ranks run communication processes.
@@ -104,10 +107,6 @@ class Network:
                     self.registry,
                     deliver_up=self.frontend.dispatch if rank == topology.root else None,
                 )
-        # Leaves are application back-ends.
-        self._backends: dict[int, BackEnd] = {
-            rank: BackEnd(rank, topology, self.transport) for rank in topology.backends
-        }
         for node in self.nodes.values():
             node.start()
 
@@ -199,19 +198,20 @@ class Network:
                 f"rank {parent_rank} is not a running communication process"
             )
         new_topo, new_rank = self.topology.attach_backend(parent_rank)
+        be = self._backends[new_rank] = BackEnd(new_rank, new_topo, self.transport)
+        self.transport.set_endpoint(new_rank, be)
         self.transport.rebind(new_topo)
         self.topology = new_topo
-        self._backends[new_rank] = BackEnd(new_rank, new_topo, self.transport)
         self.push_topology()
-        return self._backends[new_rank]
+        return be
 
     def push_topology(self) -> None:
         """Deliver the current topology to every process of the network.
 
         The one topology push, used by live attach, failure recovery and
         the chaos engine's anti-entropy pass.  The ``TAG_TOPOLOGY_ATTACH``
-        packet goes straight into each communication process's and
-        back-end's inbox rather than through the tree — the tree is what
+        packet goes straight to each communication process's inbox and
+        each back-end's endpoint rather than through the tree — the tree is what
         changed, and direct delivery works while edges are degraded.
         Processes adopt the topology idempotently and never forward it.
         """
@@ -288,17 +288,14 @@ class Network:
 
     # -- lifecycle ---------------------------------------------------------------------
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Tear the tree down: broadcast shutdown, join every process."""
+        """Tear the tree down: close every endpoint, join every process.
+        Nothing travels through the tree, so a broken tree stops promptly."""
         if self._shutdown:
             return
-        pkt = Packet(CONTROL_STREAM_ID, TAG_SHUTDOWN, "%d", (0,))
-        self._inject_down(pkt)
         self._shutdown = True
+        self.transport.shutdown()
         for node in self.nodes.values():
             node.join(timeout)
-        for be in self._backends.values():
-            be.stop()
-        self.transport.shutdown()
 
     def telemetry_snapshot(self, timeout: float = 10.0) -> dict:
         """Tree-aggregated telemetry snapshot (the in-tree stats reduction).

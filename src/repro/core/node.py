@@ -3,7 +3,7 @@
 Every non-leaf rank of the tree (the front-end's root process and all
 internal processes) runs a :class:`NodeRunner`: a loop that drains the
 rank's inbox, interprets control packets (stream creation, filter
-loading, close/shutdown) and drives the per-stream filter pipeline on
+loading, close) and drives the per-stream filter pipeline on
 data packets — synchronization filter first, then the transformation
 filter, then forwarding toward the front-end, exactly as Figure 1 of the
 paper describes.
@@ -43,7 +43,6 @@ from .events import (
     TAG_ERROR,
     TAG_FILTER_LOAD,
     TAG_P2P,
-    TAG_SHUTDOWN,
     TAG_STREAM_CLOSE,
     TAG_STREAM_CREATE,
     TAG_TELEMETRY,
@@ -174,7 +173,7 @@ class NodeRunner:
             self._thread.join(timeout)
 
     def run(self) -> None:
-        """Drain the inbox until shutdown; called by :meth:`start`.
+        """Drain the inbox until it is closed; called by :meth:`start`.
 
         Each wakeup handles a whole batch of ready envelopes (one queue
         lock round-trip for the batch, one timer check after it) instead
@@ -228,6 +227,7 @@ class NodeRunner:
             except Exception as exc:  # a filter exception from on_timer
                 self.error = exc
                 self._report_error(exc)
+        self.running = False
 
     # -- timers ----------------------------------------------------------------
     def _register_stream_timers(self, st: StreamState) -> None:
@@ -319,8 +319,6 @@ class NodeRunner:
             self._on_reconfigure(packet)
         elif tag == TAG_TELEMETRY:
             self._on_telemetry(env)
-        elif tag == TAG_SHUTDOWN:
-            self._on_shutdown(packet)
         elif env.direction is Direction.UPSTREAM:
             # Unknown upstream control (e.g. error reports): forward to root.
             self._send_root_or_up(env.packet)
@@ -519,10 +517,6 @@ class NodeRunner:
         )
         for out in self._tel_merge.execute([own, *pending["replies"]], ctx):
             self._send_root_or_up(out)
-
-    def _on_shutdown(self, packet: Packet) -> None:
-        self._forward_down(packet, self._children)
-        self.running = False
 
     def _report_error(self, exc: Exception) -> None:
         pkt = Packet(

@@ -264,38 +264,42 @@ class Packet:
         The frame is two (untraced) or three (traced) length-prefixed
         sections; the parse is hand-rolled because the trace section is
         optional, with the same truncation/trailing-byte errors the
-        ``"%ac %ac"`` interpreter path raised.
+        ``"%ac %ac"`` interpreter path raised.  Malformed bytes raise
+        :class:`SerializationError` and nothing else.
         """
-        mv = memoryview(data)
-        total = len(mv)
-        offset = 0
-        sections: list[memoryview] = []
-        for _ in range(2):
-            if offset + 4 > total:
-                raise SerializationError("truncated packet frame")
-            (length,) = _LEN.unpack_from(mv, offset)
-            offset += 4
-            if offset + length > total:
-                raise SerializationError("truncated packet frame")
-            sections.append(mv[offset : offset + length])
-            offset += length
-        trace: TraceContext | None = None
-        if offset < total:
-            if offset + 4 > total:
-                raise SerializationError("truncated packet frame")
-            (length,) = _LEN.unpack_from(mv, offset)
-            offset += 4
-            if offset + length > total:
-                raise SerializationError("truncated packet frame")
-            trace = TraceContext.from_bytes(bytes(mv[offset : offset + length]))
-            offset += length
-        if offset != total:
-            raise SerializationError(
-                f"{total - offset} trailing byte(s) after packet frame"
-            )
-        header_raw, body = sections
-        stream_id, tag, src, hops, fmt = unpack_payload(HEADER_FMT, header_raw)
-        values = unpack_payload(fmt, body)
+        try:
+            mv = memoryview(data)
+            total = len(mv)
+            offset = 0
+            sections: list[memoryview] = []
+            for _ in range(2):
+                if offset + 4 > total:
+                    raise SerializationError("truncated packet frame")
+                (length,) = _LEN.unpack_from(mv, offset)
+                offset += 4
+                if offset + length > total:
+                    raise SerializationError("truncated packet frame")
+                sections.append(mv[offset : offset + length])
+                offset += length
+            trace: TraceContext | None = None
+            if offset < total:
+                if offset + 4 > total:
+                    raise SerializationError("truncated packet frame")
+                (length,) = _LEN.unpack_from(mv, offset)
+                offset += 4
+                if offset + length > total:
+                    raise SerializationError("truncated packet frame")
+                trace = TraceContext.from_bytes(bytes(mv[offset : offset + length]))
+                offset += length
+            if offset != total:
+                raise SerializationError(
+                    f"{total - offset} trailing byte(s) after packet frame"
+                )
+            header_raw, body = sections
+            stream_id, tag, src, hops, fmt = unpack_payload(HEADER_FMT, header_raw)
+            values = unpack_payload(fmt, body)
+        except (struct.error, ValueError) as exc:  # e.g. bad UTF-8, bad trace
+            raise SerializationError(f"malformed packet frame: {exc}") from exc
         return cls(
             stream_id,
             tag,

@@ -274,7 +274,8 @@ FORMAT_DIRECTIVES: dict[str, Directive] = {
     "c": Directive(
         "c",
         packer=lambda v: v.encode("latin-1"),
-        unpacker=lambda buf, off: (buf[off : off + 1].decode("latin-1"), off + 1),
+        # chr(byte) is the latin-1 decoding, on bytes and memoryviews alike.
+        unpacker=lambda buf, off: (chr(buf[off]), off + 1),
         checker=_check_char,
     ),
     "b": Directive(
@@ -549,7 +550,7 @@ def unpack_payload(fmt: str, data: bytes) -> tuple[Any, ...]:
     for d in directives:
         try:
             v, off = d.unpacker(data, off)
-        except struct.error as exc:
+        except (struct.error, IndexError) as exc:
             raise SerializationError(f"truncated payload for %{d.code}: {exc}") from exc
         values.append(v)
     if off != len(data):

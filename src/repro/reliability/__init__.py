@@ -11,7 +11,7 @@ from .chaos import (
     run_chaos,
 )
 from .failure import FailureInjector
-from .recovery import broadcast_topology, recover_from_failure
+from .recovery import recover_from_failure
 
 __all__ = [
     "ChaosEngine",
@@ -21,7 +21,6 @@ __all__ = [
     "CrashFault",
     "EdgeFault",
     "FailureInjector",
-    "broadcast_topology",
     "generate_schedule",
     "recover_from_failure",
     "run_chaos",

@@ -60,9 +60,9 @@ from ..core.events import CONTROL_STREAM_ID, Direction, FIRST_APPLICATION_TAG
 from ..core.network import Network
 from ..core.topology import Topology, balanced_topology
 from ..telemetry.registry import GLOBAL as _REGISTRY, TELEMETRY as _TEL
-from ..transport.base import Inbox, Transport
+from ..transport.base import Transport
 from .failure import FailureInjector
-from .recovery import broadcast_topology, recover_from_failure
+from .recovery import recover_from_failure
 
 __all__ = [
     "ALL_KINDS",
@@ -351,7 +351,7 @@ class ChaosEngine:
         net = self._network
         if net is None:
             return
-        broadcast_topology(net)
+        net.push_topology()
         deadline = time.monotonic() + converge_timeout
         while not self.membership_consistent():
             if time.monotonic() >= deadline:
@@ -401,9 +401,11 @@ class ChaosTransport(Transport):
     """The sanctioned fault-injection wrapper around a real transport.
 
     Every data send funnels through the engine's ``_chaos_apply`` hook
-    (tboncheck rule TB701 rejects that hook anywhere else); every other
-    :class:`Transport` member — rebinding, channel control, backpressure
-    attributes, inboxes — delegates explicitly to the wrapped transport,
+    (tboncheck rule TB701 rejects that hook anywhere else) — the base
+    class's multicast loop sends to each recipient in turn, so each gets
+    an independent fault decision.  Every other :class:`Transport`
+    member — rebinding, channel control, backpressure attributes,
+    endpoints — delegates explicitly to the wrapped transport,
     so recovery and chaos compose on either backend.  (Each one must be
     spelled out: the base class defines them all, so nothing would fall
     through to the inner transport on its own.)
@@ -450,19 +452,14 @@ class ChaosTransport(Transport):
     def reconnect_edge(self, parent: int, child: int) -> None:
         self.inner.reconnect_edge(parent, child)
 
-    def inbox(self, rank: int) -> Inbox:
+    def set_endpoint(self, rank: int, endpoint: Any) -> None:
+        self.inner.set_endpoint(rank, endpoint)
+
+    def inbox(self, rank: int) -> Any:
         return self.inner.inbox(rank)
 
     def send(self, src: int, dst: int, direction: Direction, packet: Any) -> None:
         self.engine._chaos_apply(self.inner.send, src, dst, direction, packet)
-
-    def multicast(
-        self, src: int, dsts: Sequence[int], direction: Direction, packet: Any
-    ) -> None:
-        # Decomposed so each recipient gets an independent fault decision
-        # (serialize-once is a perf optimisation; chaos prefers coverage).
-        for dst in dsts:
-            self.send(src, dst, direction, packet)
 
     def shutdown(self) -> None:
         self.engine.stop()

@@ -37,19 +37,9 @@ from ..core.network import Network
 from ..core.topology import Topology
 from ..telemetry.registry import GLOBAL as _REGISTRY, TELEMETRY as _TEL
 
-__all__ = ["broadcast_topology", "recover_from_failure"]
+__all__ = ["recover_from_failure"]
 
 _m_latency = _REGISTRY.histogram("tbon_recovery_latency_seconds")
-
-
-def broadcast_topology(network: Network) -> None:
-    """Push the network's current topology to every process's inbox.
-
-    Anti-entropy pass used after chaos storms to guarantee convergence
-    on the final membership; the push itself is
-    :meth:`Network.push_topology`.
-    """
-    network.push_topology()
 
 
 def recover_from_failure(network: Network, failed_rank: int) -> Topology:

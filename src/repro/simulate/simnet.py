@@ -141,9 +141,6 @@ class SimTransport(Transport):
         for rank in topology.ranks:
             self.servers.setdefault(rank, Server(self.sim, f"node-{rank}"))
 
-    def shutdown(self) -> None:
-        self._closing.set()
-
     def _scaled(self, rank: int, seconds: float) -> float:
         speed = self.node_speed(rank)
         if speed <= 0:

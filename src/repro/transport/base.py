@@ -3,7 +3,7 @@
 The TBON model connects processes "via FIFO channels [that] serve as
 conduits through which application-level packets flow".  A
 :class:`Transport` materializes a :class:`~repro.core.topology.Topology`
-into per-rank inboxes plus a send primitive along tree edges; everything
+into per-rank endpoints plus a send primitive along tree edges; everything
 above this layer (node event loops, filters, streams) is
 transport-independent, so the same middleware runs over in-process
 queues (:mod:`repro.transport.local`) or real TCP sockets driven by one
@@ -16,6 +16,9 @@ Guarantees every transport must provide:
 * **reliable delivery** while the channel is open;
 * **close visibility** — receivers unblock with
   :class:`~repro.core.errors.ChannelClosedError` once a channel closes.
+
+A rank's *endpoint* has ``put(env)``, ``put_many(envs)`` and ``close()``:
+an :class:`Inbox` drained by a node thread, or a back-end itself.
 """
 
 from __future__ import annotations
@@ -23,16 +26,36 @@ from __future__ import annotations
 import abc
 import queue
 import threading
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ..core.errors import ChannelClosedError, TransportError
 from ..core.events import Direction, Envelope
 from ..core.topology import Topology
 
-__all__ = ["Inbox", "Transport", "SHUTDOWN_SENTINEL"]
+__all__ = ["Inbox", "Transport", "SHUTDOWN_SENTINEL", "deliver_each"]
 
 #: Placed on an inbox to unblock and terminate its consumer.
 SHUTDOWN_SENTINEL = object()
+
+
+def deliver_each(dsts: Sequence[int], deliver: Callable[[int], None]) -> None:
+    """Every transport's fan-out loop: ``deliver(dst)`` for each
+    destination, so a dead child never starves its siblings, then one
+    error naming every failed destination — :class:`ChannelClosedError`
+    when each failure was one, so an orderly teardown stays recognisable.
+    """
+    failed: dict[int, TransportError] = {}
+    for dst in dsts:
+        try:
+            deliver(dst)
+        except TransportError as exc:
+            failed[dst] = exc
+    if failed:
+        closed = all(isinstance(e, ChannelClosedError) for e in failed.values())
+        raise (ChannelClosedError if closed else TransportError)(
+            f"delivery failed to {len(failed)} of {len(dsts)} destination(s): "
+            + "; ".join(f"{dst}: {exc}" for dst, exc in failed.items())
+        )
 
 
 class Inbox:
@@ -168,7 +191,8 @@ class Transport(abc.ABC):
 
     def __init__(self) -> None:
         self.topology: Topology | None = None
-        self._inboxes: dict[int, Inbox] = {}
+        # rank -> endpoint; bind/rebind add an Inbox where none is set.
+        self._endpoints: dict[int, Any] = {}
         # Set first thing in every shutdown(); see :attr:`closing`.
         self._closing = threading.Event()
 
@@ -189,23 +213,44 @@ class Transport(abc.ABC):
             "blocking_sends": self.blocking_sends,
         }
 
-    @abc.abstractmethod
     def bind(self, topology: Topology) -> None:
-        """Create channels for every edge of ``topology``."""
+        """Create channels for every edge of ``topology``.
 
-    @abc.abstractmethod
+        The base gives each rank without an endpoint an :class:`Inbox`;
+        socket transports extend this with their connections.
+        """
+        if self.topology is not None:
+            raise TransportError("transport already bound")
+        self.topology = topology
+        for rank in topology.ranks:
+            self._endpoints.setdefault(rank, Inbox())
+
     def rebind(self, topology: Topology) -> None:
         """Adopt a reconfigured ``topology`` on the live transport.
 
         Used by live attach and failure recovery: surviving ranks keep
-        their inboxes and channels (no data loss on what did not break),
-        newly attached ranks get fresh ones.
+        their endpoints and channels (no data loss on what did not
+        break), newly attached ranks get fresh ones.
         """
+        if self.topology is None:
+            raise TransportError("transport is not bound")
+        self.topology = topology
+        for rank in topology.ranks:
+            self._endpoints.setdefault(rank, Inbox())
 
-    def inbox(self, rank: int) -> Inbox:
-        """The receive queue for ``rank``."""
+    def set_endpoint(self, rank: int, endpoint: Any) -> None:
+        """Deliver ``rank``'s envelopes to ``endpoint``, not an Inbox.
+
+        Call before the :meth:`bind`/:meth:`rebind` that adds ``rank``.
+        """
+        if rank in self._endpoints:
+            raise TransportError(f"rank {rank} already has an endpoint")
+        self._endpoints[rank] = endpoint
+
+    def inbox(self, rank: int) -> Any:
+        """The endpoint of ``rank`` (an :class:`Inbox` unless set)."""
         try:
-            return self._inboxes[rank]
+            return self._endpoints[rank]
         except KeyError:
             raise TransportError(f"rank {rank} has no inbox (not bound?)") from None
 
@@ -221,10 +266,9 @@ class Transport(abc.ABC):
         Transports override this to share per-packet work across the
         fan-out: the reactor transport serializes the wire frame once
         for all k sockets, the thread transport enqueues one shared
-        envelope.  The default is a plain per-destination send loop.
+        envelope.  Every override loops through :func:`deliver_each`.
         """
-        for dst in dsts:
-            self.send(src, dst, direction, packet)
+        deliver_each(dsts, lambda dst: self.send(src, dst, direction, packet))
 
     # -- per-edge channel control ------------------------------------------
     # Failure injection and chaos act on individual channels.  The
@@ -240,13 +284,17 @@ class Transport(abc.ABC):
     def reconnect_edge(self, parent: int, child: int) -> None:
         """Re-establish one tree edge (the repair half of a reset)."""
 
-    @abc.abstractmethod
     def shutdown(self) -> None:
-        """Close all channels and release transport resources.
+        """Close every endpoint: node inboxes drain and end their loops,
+        back-ends mark themselves shut down.
 
-        Implementations set ``self._closing`` before tearing anything
-        down, so :attr:`closing` reads True for the whole teardown.
+        Overrides that release channels set ``self._closing`` before
+        tearing anything down, so :attr:`closing` reads True for the
+        whole teardown, and end with this.
         """
+        self._closing.set()
+        for endpoint in self._endpoints.values():
+            endpoint.close()
 
     # -- shared helpers ----------------------------------------------------
     def _check_edge(self, src: int, dst: int) -> None:

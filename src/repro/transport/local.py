@@ -1,7 +1,8 @@
 """In-process thread transport.
 
-Every rank's inbox is a thread-safe queue; a send is a queue put.  This
-is the reference transport for the TBON semantics: channels are FIFO and
+A send is a put on the destination rank's endpoint, made on the sending
+thread (a queue put, or a direct call into a back-end).  This is the
+reference transport for the TBON semantics: channels are FIFO and
 reliable by construction, packets move by reference (the in-process
 stand-in for MRNet's zero-copy data path — a k-way multicast enqueues
 one shared :class:`~repro.core.packet.Packet` object k times and bumps
@@ -12,11 +13,9 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from ..core.errors import TransportError
 from ..core.events import Direction, Envelope
-from ..core.topology import Topology
 from ..telemetry.registry import GLOBAL as _TELEMETRY, TELEMETRY as _TEL
-from .base import Inbox, Transport
+from .base import Transport, deliver_each
 
 __all__ = ["ThreadTransport"]
 
@@ -30,25 +29,14 @@ _m_delivered = _TELEMETRY.counter(
 class ThreadTransport(Transport):
     """Queues-as-channels transport for single-process networks."""
 
-    def bind(self, topology: Topology) -> None:
-        if self.topology is not None:
-            raise TransportError("transport already bound")
-        self.topology = topology
-        self._inboxes = {rank: Inbox() for rank in topology.ranks}
-
-    def rebind(self, topology: Topology) -> None:
-        """Adopt a reconfigured topology, creating inboxes for new ranks."""
-        if self.topology is None:
-            raise TransportError("transport is not bound")
-        self.topology = topology
-        for rank in topology.ranks:
-            self._inboxes.setdefault(rank, Inbox())
+    def _put(self, src: int, dst: int, env: Envelope) -> None:
+        self._check_edge(src, dst)
+        self.inbox(dst).put(env)
 
     def send(self, src: int, dst: int, direction: Direction, packet: Any) -> None:
-        self._check_edge(src, dst)
         if _TEL.enabled:
             _m_delivered.inc()
-        self.inbox(dst).put(Envelope(src=src, direction=direction, packet=packet))
+        self._put(src, dst, Envelope(src=src, direction=direction, packet=packet))
 
     def multicast(
         self, src: int, dsts: Sequence[int], direction: Direction, packet: Any
@@ -59,11 +47,5 @@ class ThreadTransport(Transport):
         env = Envelope(src=src, direction=direction, packet=packet)
         if _TEL.enabled:
             _m_delivered.inc(len(dsts))
-        for dst in dsts:
-            self._check_edge(src, dst)
-            self.inbox(dst).put(env)
+        deliver_each(dsts, lambda dst: self._put(src, dst, env))
 
-    def shutdown(self) -> None:
-        self._closing.set()
-        for inbox in self._inboxes.values():
-            inbox.close()

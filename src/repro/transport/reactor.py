@@ -15,7 +15,7 @@ O(fanout):
   state) over reusable buffers.  Small frames are read in bulk — one
   ``recv`` into a per-connection scratch buffer can carry hundreds of
   frames, which are fed through the decoder from memory and delivered
-  to the rank's inbox as one batch (:meth:`Inbox.put_many`); large
+  to the rank's endpoint as one batch (``put_many``); large
   bodies are received straight into the decoder's body buffer to avoid
   the extra copy.  A completed frame is parsed with
   :meth:`Packet.from_bytes` over a view.
@@ -32,7 +32,10 @@ O(fanout):
   :class:`ChannelBusyError` when the transport is configured
   non-blocking.  The policy is advertised via
   :attr:`Transport.send_queue_limit` / :attr:`Transport.blocking_sends`.
-  Inboxes stay unbounded, so the reactor thread itself can never block —
+  Endpoints never block (inboxes are unbounded, a back-end only appends
+  under its condition), and ``enqueue`` on the reactor thread — a
+  back-end's close ack or telemetry reply — queues past the high-water
+  mark instead of waiting, so the reactor thread itself can never block:
   a prerequisite for deadlock freedom with one loop serving both
   directions of every edge.
 
@@ -63,7 +66,7 @@ from ..core.events import Direction, Envelope
 from ..core.packet import Packet
 from ..core.topology import Topology
 from ..telemetry.registry import GLOBAL as _TELEMETRY, SIZE_BOUNDS, TELEMETRY as _TEL
-from .base import Inbox, Transport
+from .base import Transport, deliver_each
 from .tcp import _EdgeRepairMixin, _HDR, establish_edges
 
 __all__ = ["ReactorTransport", "Reactor"]
@@ -74,6 +77,9 @@ _LOG = logging.getLogger(__name__)
 #: decoder's body buffer; smaller reads go through the per-connection
 #: scratch buffer so one ``recv`` can carry a whole burst of frames.
 _BULK_DIRECT = 65536
+#: Largest frame body accepted: the decoder allocates the announced
+#: length up front, so a corrupt header must not claim up to 4 GiB.
+_MAX_FRAME_BYTES = 1 << 26
 
 # Process-wide reactor instruments (GLOBAL registry, created at import so
 # the disabled hot path stays one ``_TEL.enabled`` attribute check).
@@ -170,13 +176,16 @@ class _FrameDecoder:
         """Consume ``n`` bytes just written into :meth:`recv_view`.
 
         Returns a completed ``(dir_code, src, body_view)`` frame, or
-        ``None`` while the frame is still partial.
+        ``None`` while the frame is still partial.  A malformed header
+        raises :class:`SerializationError` before anything is allocated.
         """
         self._got += n
         if not self._in_body:
             if self._got < _HDR.size:
                 return None
             self._length, self._dir, self._src = _HDR.unpack(self._hdr)
+            if self._dir > 1 or self._length > _MAX_FRAME_BYTES:
+                raise SerializationError(f"malformed frame header {bytes(self._hdr)!r}")
             if self._length > len(self._body):
                 self._body = bytearray(self._length)
             self._got = 0
@@ -192,6 +201,14 @@ class _FrameDecoder:
         return (self._dir, self._src, view)
 
 
+def _envelope(frame: tuple[int, int, memoryview]) -> Envelope:
+    """The envelope a completed decoder frame carries."""
+    dir_code, src, body = frame
+    if _TEL.enabled:
+        _m_rx_bytes.inc(_HDR.size + len(body))
+    return Envelope(src, Direction.from_wire(dir_code), Packet.from_bytes(body))
+
+
 class _ReactorConnection:
     """One non-blocking socket in the reactor: decoder + bounded send queue.
 
@@ -201,10 +218,10 @@ class _ReactorConnection:
     """
 
     def __init__(
-        self, sock: socket.socket, inbox: Inbox, owner_rank: int, reactor: "Reactor"
+        self, sock: socket.socket, endpoint: Any, owner_rank: int, reactor: "Reactor"
     ) -> None:
         self.sock = sock
-        self.inbox = inbox
+        self.endpoint = endpoint
         self.owner_rank = owner_rank
         self.reactor = reactor
         self.decoder = _FrameDecoder()
@@ -236,9 +253,13 @@ class _ReactorConnection:
         timeout: float,
         high_water: int,
     ) -> None:
-        """Queue one frame, applying the transport's backpressure policy."""
+        """Queue one frame, applying the transport's backpressure policy
+        (never on the reactor thread: only it drains the queue)."""
         with self._lock:
-            if self._depth >= high_water:
+            if (
+                self._depth >= high_water
+                and threading.current_thread() is not self.reactor._thread
+            ):
                 if not block:
                     raise ChannelBusyError(
                         f"send queue for rank {self.owner_rank} is at its "
@@ -296,7 +317,7 @@ class _ReactorConnection:
                     raise ConnectionError("peer closed")
                 frame = decoder.advance(n)
                 if frame is not None:
-                    self._deliver_one(frame)
+                    self.endpoint.put(_envelope(frame))
                 continue
             n = _nb_recv_into(self.sock, scratch)
             if n is None:
@@ -314,32 +335,11 @@ class _ReactorConnection:
                 off += take
                 frame = decoder.advance(take)
                 if frame is not None:
-                    dir_code, src, body = frame
-                    batch.append(
-                        Envelope(
-                            src=src,
-                            direction=Direction.from_wire(dir_code),
-                            packet=Packet.from_bytes(body),
-                        )
-                    )
-                    if _TEL.enabled:
-                        _m_rx_bytes.inc(_HDR.size + len(body))
+                    batch.append(_envelope(frame))
             if len(batch) == 1:
-                self.inbox.put(batch[0])
+                self.endpoint.put(batch[0])
             elif batch:
-                self.inbox.put_many(batch)
-
-    def _deliver_one(self, frame: tuple[int, int, memoryview]) -> None:
-        dir_code, src, body = frame
-        self.inbox.put(
-            Envelope(
-                src=src,
-                direction=Direction.from_wire(dir_code),
-                packet=Packet.from_bytes(body),
-            )
-        )
-        if _TEL.enabled:
-            _m_rx_bytes.inc(_HDR.size + len(body))
+                self.endpoint.put_many(batch)
 
     def handle_write(self) -> None:
         """Flush queued frames: coalesced vectored writes until EAGAIN."""
@@ -645,7 +645,7 @@ class ReactorTransport(_EdgeRepairMixin, Transport):
         self._listeners: dict[int, socket.socket] = {}
 
     def _attach(self, owner: int, peer: int, sock: socket.socket) -> None:
-        conn = _ReactorConnection(sock, self._inboxes[owner], owner, self._reactor)
+        conn = _ReactorConnection(sock, self._endpoints[owner], owner, self._reactor)
         self._conns[(owner, peer)] = conn
         # register_live degrades to plain register() before the loop
         # starts, so bind and recovery share this one attach path.
@@ -658,10 +658,7 @@ class ReactorTransport(_EdgeRepairMixin, Transport):
         return conn
 
     def bind(self, topology: Topology) -> None:
-        if self.topology is not None:
-            raise TransportError("transport already bound")
-        self.topology = topology
-        self._inboxes = {rank: Inbox() for rank in topology.ranks}
+        super().bind(topology)
         self._listeners = establish_edges(
             self.host, self.connect_timeout, topology, self._attach
         )
@@ -673,6 +670,7 @@ class ReactorTransport(_EdgeRepairMixin, Transport):
         self._reactor.start()
 
     def _enqueue(self, src: int, dst: int, header: bytes, body: bytes) -> None:
+        self._check_edge(src, dst)
         conn = self._conns.get((src, dst))
         if conn is None or self._closing.is_set():
             raise ChannelClosedError(f"no reactor connection {src}->{dst}")
@@ -685,7 +683,6 @@ class ReactorTransport(_EdgeRepairMixin, Transport):
         )
 
     def send(self, src: int, dst: int, direction: Direction, packet: Any) -> None:
-        self._check_edge(src, dst)
         body = packet.to_bytes()
         header = _HDR.pack(len(body), direction.wire_code, src)
         self._enqueue(src, dst, header, body)
@@ -698,14 +695,12 @@ class ReactorTransport(_EdgeRepairMixin, Transport):
         coalescing on the reactor thread."""
         body = packet.to_bytes()
         header = _HDR.pack(len(body), direction.wire_code, src)
-        for dst in dsts:
-            self._check_edge(src, dst)
-            self._enqueue(src, dst, header, body)
+        deliver_each(dsts, lambda dst: self._enqueue(src, dst, header, body))
 
     def shutdown(self) -> None:
         self._closing.set()
         self._reactor.stop()
         for srv in self._listeners.values():
             srv.close()
-        for inbox in self._inboxes.values():
-            inbox.close()
+        super().shutdown()
+

@@ -203,7 +203,7 @@ class _EdgeRepairMixin:
     """Live-reconfiguration machinery of the socket transport.
 
     Works on the transport's bookkeeping — ``_conns[(owner, peer)]``,
-    ``_listeners[rank]``, ``_inboxes[rank]`` — to do everything recovery
+    ``_listeners[rank]``, ``_endpoints[rank]`` — to do everything recovery
     needs: dropping the dead node's channels, re-listening, reconnecting
     re-parented children with backoff.  The transport supplies two
     hooks, :meth:`_attach` (wrap an established socket in its connection
@@ -217,7 +217,7 @@ class _EdgeRepairMixin:
     host: str
     connect_timeout: float
     rebinding: bool
-    _inboxes: dict[int, Inbox]
+    _endpoints: dict[int, Any]
     _listeners: dict[int, socket.socket]
     _conns: dict[tuple[int, int], Any]
     topology: Topology | None
@@ -313,7 +313,7 @@ class _EdgeRepairMixin:
             for rank in [r for r in self._listeners if r not in topology]:
                 self._listeners.pop(rank).close()
             for rank in topology.ranks:
-                self._inboxes.setdefault(rank, Inbox())
+                self._endpoints.setdefault(rank, Inbox())
             self.topology = topology
             self._establish_missing(
                 [e for e in topology.iter_edges() if e not in self._conns]

@@ -422,23 +422,29 @@ class TestBatchedRunLoop:
         assert node.error is None
 
     def test_shutdown_mid_batch_stops_loop(self):
-        from repro.core.events import TAG_SHUTDOWN
-
+        """Closing the inbox mid-batch: the envelopes ahead of the close
+        are handled, the ones behind it are not, and the loop ends."""
         topo = balanced_topology(2, 2)
         transport = ThreadTransport()
         transport.bind(topo)
-        node = _make_node(topo, transport, deliver_up=lambda env: None)
+        delivered = []
+        node = _make_node(topo, transport, deliver_up=delivered.append)
         _create_stream(node, topo, sync="wait_for_all")
-        transport.inbox(0).put(
-            Envelope(
-                -1,
-                Direction.DOWNSTREAM,
-                Packet(CONTROL_STREAM_ID, TAG_SHUTDOWN, "%d", (0,)),
-            )
-        )
+        c1, c2 = topo.children(0)
+        inbox = transport.inbox(0)
+        for i in range(3):
+            for c in (c1, c2):
+                inbox.put(
+                    Envelope(c, Direction.UPSTREAM, Packet(1, 100, "%d", (i,), src=c))
+                )
+        inbox.close()
+        inbox.put(Envelope(c1, Direction.UPSTREAM, Packet(1, 100, "%d", (7,), src=c1)))
         t = threading.Thread(target=node.run, daemon=True)
         node.running = True
         t.start()
         t.join(3)
         assert not t.is_alive()
         assert node.running is False
+        assert [env.packet.values[0] for env in delivered] == [0, 2, 4]
+        assert node.error is None
+        assert inbox.qsize() == 2  # the sentinel and the envelope behind it

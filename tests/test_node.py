@@ -17,7 +17,6 @@ from repro.core.events import (
     Direction,
     Envelope,
     StreamSpec,
-    TAG_SHUTDOWN,
     TAG_STREAM_CLOSE,
     TAG_STREAM_CREATE,
 )
@@ -168,20 +167,28 @@ class TestControlEdgeCases:
         # A straggler ack for the closed stream must not blow up.
         root.handle(Envelope(c1, Direction.UPSTREAM, ack))
 
-    def test_shutdown_stops_loop_and_propagates(self, setup):
-        topo, transport, root, internal, _d = setup
-        root.running = True
-        root.handle(
-            Envelope(
-                -1,
-                Direction.DOWNSTREAM,
-                Packet(CONTROL_STREAM_ID, TAG_SHUTDOWN, "%d", (0,)),
-            )
-        )
+    def test_inbox_close_stops_loop(self, setup):
+        """Shutdown is an inbox close: the envelopes queued ahead of it
+        are handled, then the loop ends without sending anything down."""
+        import threading
+
+        topo, transport, root, internal, delivered = setup
+        root.handle(Envelope(-1, Direction.DOWNSTREAM, spec_packet(make_spec(topo))))
+        c1, c2 = topo.children(0)
+        for c in (c1, c2):
+            transport.inbox(c).get(timeout=1)  # the forwarded stream-create
+        inbox = transport.inbox(0)
+        for c in (c1, c2):
+            inbox.put(Envelope(c, Direction.UPSTREAM, Packet(1, 100, "%d", (5,), src=c)))
+        inbox.close()
+        inbox.put(Envelope(c1, Direction.UPSTREAM, Packet(1, 100, "%d", (9,), src=c1)))
+        t = threading.Thread(target=root.run, daemon=True)
+        t.start()
+        t.join(3)
+        assert not t.is_alive()
         assert root.running is False
-        for c in topo.children(0):
-            env = transport.inbox(c).get(timeout=1)
-            assert env.packet.tag == TAG_SHUTDOWN
+        assert [env.packet.values[0] for env in delivered] == [10]
+        assert all(transport.inbox(c).qsize() == 0 for c in (c1, c2))
 
     def test_filter_error_reported_not_raised(self, setup):
         """The run loop catches handler errors and reports upstream."""

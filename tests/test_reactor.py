@@ -259,6 +259,25 @@ class TestBackpressure:
         t.join(5)
         assert done.is_set() and not errors, f"blocked sender never drained: {errors}"
 
+    def test_loop_thread_enqueue_never_waits(self, conn_pair):
+        """A back-end's control reply is enqueued on the reactor thread,
+        the only thread that drains the queue: at the high-water mark it
+        is queued past the mark at once instead of waiting."""
+        conn, _peer, _inbox = conn_pair
+        header, body = self._fill(conn, high_water=2)
+        loop = threading.Thread(
+            target=conn.enqueue,
+            args=(header, body),
+            kwargs={"block": True, "timeout": 30.0, "high_water": 2},
+        )
+        conn.reactor._thread = loop  # stands in for the reactor thread
+        t0 = time.monotonic()
+        loop.start()
+        loop.join(5)
+        assert not loop.is_alive()
+        assert time.monotonic() - t0 < 1.0
+        assert conn._depth == 3
+
     def test_close_releases_blocked_sender(self, conn_pair):
         conn, _peer, _inbox = conn_pair
         header, body = self._fill(conn, high_water=2)
@@ -342,6 +361,20 @@ class TestLiveTree:
 
 
 class TestReactorThreadCount:
+    @pytest.mark.parametrize("transport, extra", [("thread", 0), ("tcp", 1)])
+    def test_threads_are_the_node_loops_plus_the_reactor(self, transport, extra):
+        """Back-ends own no thread: a 64-leaf tree adds one thread per
+        communication process, plus the reactor on the socket transport."""
+        before = set(threading.enumerate())
+        with Network(balanced_topology(8, 2), transport=transport) as net:
+            added = [t for t in threading.enumerate() if t not in before]
+            assert len(net.topology.backends) == 64
+            assert len(added) == len(net.nodes) + extra, [t.name for t in added]
+            assert not any(t.name.startswith("tbon-backend") for t in added)
+            s = net.new_stream(transform="sum", sync="wait_for_all")
+            send_from_all(net, s, TAG, "%d", lambda r: 1)
+            assert s.recv(timeout=15).values[0] == 64
+
     def test_io_threads_are_o1(self):
         """Acceptance: reactor I/O threads <= 2 regardless of fanout."""
         fanout = 16
