@@ -117,7 +117,7 @@ def bench_tcp_roundtrip(n_iters: int, payload: bytes) -> dict:
 def bench_multicast(
     kind: str,
     fanout: int,
-    payload_nbytes: int,
+    payload_size: int,
     n_iters: int,
     repeats: int = 5,
 ) -> float:
@@ -139,7 +139,7 @@ def bench_multicast(
     transport.bind(topo)
     try:
         children = topo.children(0)
-        payload = bytes(payload_nbytes)
+        payload = bytes(payload_size)
 
         def delivered():
             # Frames land in unbounded inboxes (put there directly by the
@@ -183,7 +183,7 @@ def _io_thread_count() -> int:
 
 def bench_multicast_sustained(
     fanout: int,
-    payload_nbytes: int,
+    payload_size: int,
     n_iters: int,
     repeats: int = 5,
 ) -> tuple[float, int]:
@@ -202,7 +202,7 @@ def bench_multicast_sustained(
     transport.bind(topo)
     try:
         children = topo.children(0)
-        payload = bytes(payload_nbytes)
+        payload = bytes(payload_size)
         io_threads = _io_thread_count()
 
         best = 0.0

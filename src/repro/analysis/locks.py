@@ -31,7 +31,7 @@ lock-order test::
     TBON_LOCKCHECK=1 PYTHONPATH=src python -m pytest -x -q
 
 Lock-order edges are recorded *by name*, not by instance: the graph
-node for every ``PayloadRef._lock`` is ``"payload_ref"``.  That is the
+node for every ``_ReactorConnection._lock`` is ``"reactor_sendq"``.  That is the
 standard lock-ranking abstraction — two instances of the same class
 rank equally — and keeps the graph small and the reports readable.
 Reentrant acquisitions of a lock already held by this thread do not add

@@ -178,7 +178,7 @@ def build_index(trees: dict[str, ast.Module]) -> ClassIndex:
 # -- TB1xx: wire-format validation ----------------------------------------------
 
 #: func name -> index of the format-string argument; values follow per-site.
-_PACK_LIKE = {"pack_payload": 0, "validate_values": 0, "payload_nbytes": 0}
+_PACK_LIKE = {"pack_payload": 0, "validate_values": 0}
 _UNPACK_LIKE = {"unpack_payload": 0}
 _SEND_METHODS = {"send", "send_p2p"}
 
@@ -348,7 +348,6 @@ _PACKET_FROZEN_ATTRS = frozenset(
         "payload",
         "trace",
         "_values",
-        "_ref",
         "_frame",
         "_frame_hops",
     }

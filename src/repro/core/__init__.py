@@ -54,7 +54,7 @@ from .filters import (
     TransformationFilter,
 )
 from .network import Network
-from .packet import Packet, PayloadRef, make_packet
+from .packet import Packet, make_packet
 from .serialization import pack_payload, parse_format, unpack_payload
 from .stream import Stream
 from .sync_filters import NullSync, TimeOut, WaitForAll
@@ -76,7 +76,6 @@ __all__ = [
     "Network",
     "Stream",
     "Packet",
-    "PayloadRef",
     "make_packet",
     "Topology",
     "NodeDesc",

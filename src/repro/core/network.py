@@ -288,12 +288,15 @@ class Network:
 
     # -- lifecycle ---------------------------------------------------------------------
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Tear the tree down: close every endpoint, join every process.
-        Nothing travels through the tree, so a broken tree stops promptly."""
+        """Tear the tree down: close every endpoint, end every stream, join
+        every process.  Nothing travels through the tree, so a broken tree
+        stops promptly, and a ``Stream.recv`` blocked on it returns."""
         if self._shutdown:
             return
         self._shutdown = True
         self.transport.shutdown()
+        for stream in self.frontend.open_streams():
+            stream._end()
         for node in self.nodes.values():
             node.join(timeout)
 

@@ -659,22 +659,18 @@ class NodeRunner:
 
     # -- send helpers -----------------------------------------------------------------
     def _forward_down(self, packet: Packet, children: Any) -> None:
-        """Multicast one packet to ``children`` sharing its payload buffer.
+        """Multicast one packet object to every child in ``children``.
 
-        The shared :class:`~repro.core.packet.PayloadRef` is increffed
-        once per extra recipient — MRNet's counted packet references: one
-        payload object placed in multiple outgoing buffers.  The actual
-        fan-out goes through :meth:`Transport.multicast` so transports
-        can share per-packet work (the socket transport serializes the
-        wire frame exactly once for all k children).
+        The fan-out goes through :meth:`Transport.multicast`, which hands
+        all k children the same object (the thread transport one shared
+        envelope, the socket transport one memoized frame), so the
+        packet is serialized at most once.
         """
         kids = list(children)
         if not kids:
             return
         if _TEL.enabled:
             self._m_down_out.inc(len(kids))
-        if len(kids) > 1:
-            packet.payload_ref().incref(len(kids) - 1)
         try:
             self.transport.multicast(self.rank, kids, Direction.DOWNSTREAM, packet)
         except (TransportError, TopologyError):

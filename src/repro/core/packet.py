@@ -1,4 +1,4 @@
-"""Application-level packets and counted payload references.
+"""Application-level packets and the serialize-once frame memo.
 
 A :class:`Packet` is the unit of data flowing through a TBON: it names a
 stream, carries an application *tag*, and holds a typed payload described
@@ -7,32 +7,27 @@ by an MRNet-style format string (see :mod:`repro.core.serialization`).
 MRNet's high-performance communication layer "uses counted packet
 references to place a single packet object into multiple outgoing packet
 buffers and performs the requisite garbage collection when the packet is
-no longer referenced".  :class:`PayloadRef` reproduces that design: when
-an internal node multicasts a packet to *k* children, all *k* channel
-entries share one serialized buffer; the buffer's serialization happens
-at most once, and explicit reference counts (observable via
-:class:`PacketStats`) let tests assert the single-copy property.
+no longer referenced".  Here CPython's own reference count is that
+counter: a k-way multicast hands the *same* object to all k children —
+one shared :class:`~repro.core.events.Envelope` in k inboxes on the
+thread transport, one frame ``bytes`` in k send queues on the socket
+transport — and the object is freed when the last holder drops it.
+:meth:`Packet.to_bytes` memoizes the whole frame, so the packet is
+serialized at most once per hop count however many channels carry it.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
-from ..analysis.locks import make_lock
 from ..telemetry.registry import GLOBAL as _TELEMETRY, TELEMETRY as _TEL
 from ..telemetry.trace import TraceContext
 from .errors import SerializationError
-from .serialization import (
-    pack_payload,
-    payload_nbytes,
-    unpack_payload,
-    validate_values,
-)
+from .serialization import pack_payload, unpack_payload, validate_values
 
-__all__ = ["Packet", "PayloadRef", "PacketStats", "make_packet"]
+__all__ = ["Packet", "make_packet"]
 
 _packet_seq = itertools.count()
 
@@ -47,87 +42,6 @@ FRAME_CACHE_ENABLED = True
 
 _frame_cache_hits = _TELEMETRY.counter("tbon_frame_cache_total", {"result": "hit"})
 _frame_cache_misses = _TELEMETRY.counter("tbon_frame_cache_total", {"result": "miss"})
-
-
-@dataclass
-class PacketStats:
-    """Counters for payload-buffer behaviour (zero-copy accounting).
-
-    Attributes:
-        serializations: number of times a payload was packed to bytes.
-        buffers_live: number of PayloadRef buffers currently referenced.
-        max_refcount: the largest refcount ever observed on one buffer
-            (``k`` after a k-way multicast that shared a single buffer).
-    """
-
-    serializations: int = 0
-    buffers_live: int = 0
-    max_refcount: int = 0
-    _lock: Any = field(default_factory=lambda: make_lock("packet_stats"), repr=False)
-
-    def reset(self) -> None:
-        with self._lock:
-            self.serializations = 0
-            self.buffers_live = 0
-            self.max_refcount = 0
-
-
-#: Process-global stats instance; tests may reset it around a scenario.
-GLOBAL_PACKET_STATS = PacketStats()
-
-
-class PayloadRef:
-    """A reference-counted serialized payload buffer.
-
-    The buffer is created lazily on first :meth:`serialize` and shared by
-    every holder; :meth:`incref`/:meth:`decref` track ownership the same
-    way MRNet's counted packet references do.  When the count reaches
-    zero the buffer is dropped (Python's GC would reclaim it anyway — the
-    explicit count exists so the single-serialization invariant is
-    observable and testable).
-    """
-
-    __slots__ = ("_fmt", "_values", "_buffer", "_refcount", "_lock")
-
-    def __init__(self, fmt: str, values: tuple[Any, ...]) -> None:
-        self._fmt = fmt
-        self._values = values
-        self._buffer: bytes | None = None  # tbon: lock=_lock
-        self._refcount = 1  # tbon: lock=_lock
-        self._lock = make_lock("payload_ref")
-        with GLOBAL_PACKET_STATS._lock:
-            GLOBAL_PACKET_STATS.buffers_live += 1
-
-    @property
-    def refcount(self) -> int:
-        return self._refcount
-
-    def incref(self, n: int = 1) -> "PayloadRef":
-        with self._lock:
-            self._refcount += n
-            with GLOBAL_PACKET_STATS._lock:
-                if self._refcount > GLOBAL_PACKET_STATS.max_refcount:
-                    GLOBAL_PACKET_STATS.max_refcount = self._refcount
-        return self
-
-    def decref(self, n: int = 1) -> None:
-        with self._lock:
-            self._refcount -= n
-            if self._refcount < 0:
-                raise SerializationError("PayloadRef refcount went negative")
-            if self._refcount == 0:
-                self._buffer = None
-                with GLOBAL_PACKET_STATS._lock:
-                    GLOBAL_PACKET_STATS.buffers_live -= 1
-
-    def serialize(self) -> bytes:
-        """Pack the payload, caching the buffer so packing happens once."""
-        with self._lock:
-            if self._buffer is None:
-                self._buffer = pack_payload(self._fmt, self._values)
-                with GLOBAL_PACKET_STATS._lock:
-                    GLOBAL_PACKET_STATS.serializations += 1
-            return self._buffer
 
 
 class Packet:
@@ -152,7 +66,6 @@ class Packet:
         "seq",
         "trace",
         "_values",
-        "_ref",
         "_frame",
         "_frame_hops",
     )
@@ -178,7 +91,6 @@ class Packet:
         self.trace = trace
         vals = tuple(values) if _validated else validate_values(fmt, values)
         self._values = vals
-        self._ref: PayloadRef | None = None
         self._frame: bytes | None = None
         self._frame_hops = -1
 
@@ -199,16 +111,6 @@ class Packet:
         return len(self._values)
 
     # -- serialization ---------------------------------------------------
-    def payload_ref(self) -> PayloadRef:
-        """Return the shared counted payload reference, creating it lazily."""
-        if self._ref is None:
-            self._ref = PayloadRef(self.fmt, self._values)
-        return self._ref
-
-    def nbytes(self) -> int:
-        """Serialized payload size in bytes (without header)."""
-        return payload_nbytes(self.fmt, self._values)
-
     def to_bytes(self) -> bytes:
         """Serialize header + payload to a transport frame body.
 
@@ -217,8 +119,9 @@ class Packet:
         :meth:`hop`), so the cache is keyed by the hop count at
         serialization time.  A k-way multicast therefore serializes once
         and writes the identical buffer k times — MRNet's serialize-once
-        contract, now covering header bytes as well as the counted
-        payload reference.
+        contract.  This memo is the only payload cache: the body is
+        packed by :func:`~repro.core.serialization.pack_payload` on a
+        miss.
         """
         frame = self._frame
         if (
@@ -234,7 +137,7 @@ class Packet:
         header = pack_payload(
             HEADER_FMT, (self.stream_id, self.tag, self.src, self.hops, self.fmt)
         )
-        body = self.payload_ref().serialize()
+        body = pack_payload(self.fmt, self._values)
         # Inlined pack_payload("%ac %ac", (header, body)) — same bytes,
         # no per-directive dispatch on the per-frame hot path.
         if self.trace is None:
@@ -368,7 +271,3 @@ def make_packet(
     """Convenience constructor: ``make_packet(s, t, "%d %f", 3, 2.5)``."""
     return Packet(stream_id, tag, fmt, values, src=src)
 
-
-def total_nbytes(packets: Iterable[Packet]) -> int:
-    """Sum of serialized payload sizes for a batch of packets."""
-    return sum(p.nbytes() for p in packets)

@@ -22,7 +22,7 @@ Directive   Python value                           Wire encoding
 ``%af32``   1-D ``float32`` :class:`numpy.ndarray` ``<I`` count + raw
 ``%as``     list of :class:`str`                   ``<I`` count + strings
 ``%am``     2-D ``float64`` :class:`numpy.ndarray` ``<II`` shape + raw
-``%o``      any picklable object (extension)       ``<I`` length + pickle
+``%o``      picklable object, allowlisted (ext.)   ``<I`` length + pickle
 ==========  =====================================  ==================
 
 All multi-byte integers are little-endian.  Array directives accept any
@@ -32,11 +32,17 @@ copies (a Python stand-in for MRNet's zero-copy data paths).
 
 ``%o`` is a Python-native extension used by complex filters (e.g. graph
 folding) whose state does not map onto flat arrays; it is documented as
-such and never required by the core protocol.
+such and never required by the core protocol.  Its bytes may come off a
+socket, so unpacking admits only an allowlist of globals: builtin value
+types, numpy's array/dtype/scalar reconstructors (under ``numpy._core``
+and ``numpy.core``), and classes — not functions or modules — defined in
+``repro.*``.  Any other global raises :class:`SerializationError` before
+it is called.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 from dataclasses import dataclass
@@ -53,7 +59,6 @@ __all__ = [
     "parse_format",
     "pack_payload",
     "unpack_payload",
-    "payload_nbytes",
     "validate_values",
     "FORMAT_DIRECTIVES",
 ]
@@ -261,10 +266,52 @@ def _pack_object(v: Any) -> bytes:
         raise SerializationError(f"%o value is not picklable: {exc}") from exc
 
 
+#: Builtin value types a ``%o`` pickle may name.
+_PICKLE_BUILTINS = frozenset(
+    {
+        "bool", "int", "float", "complex", "str", "bytes", "bytearray",
+        "tuple", "list", "dict", "set", "frozenset", "range", "slice",
+    }
+)
+#: numpy's array, dtype and scalar reconstructors (numpy 2 moved
+#: ``numpy.core`` to ``numpy._core``; both spellings appear in pickles).
+_PICKLE_NUMPY = frozenset(
+    {("numpy", "ndarray"), ("numpy", "dtype")}
+    | {
+        (f"{core}.{mod}", name)
+        for core in ("numpy.core", "numpy._core")
+        for mod, name in (
+            ("multiarray", "_reconstruct"),
+            ("multiarray", "scalar"),
+            ("numeric", "_frombuffer"),
+        )
+    }
+)
+
+
+class _SafeUnpickler(pickle.Unpickler):
+    """Resolves only builtin value types, numpy's reconstructors and
+    ``repro`` classes: a frame off the socket cannot name a callable
+    that runs code (``os.system``, ``builtins.eval``...)."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if module == "builtins" and name in _PICKLE_BUILTINS:
+            return super().find_class(module, name)
+        if (module, name) in _PICKLE_NUMPY:
+            return super().find_class(module, name)
+        if module.startswith("repro."):
+            obj = super().find_class(module, name)
+            if isinstance(obj, type) and obj.__module__.startswith("repro."):
+                return obj
+        raise SerializationError(f"%o payload may not load {module}.{name}")
+
+
 def _unpack_object(buf: bytes, off: int) -> tuple[Any, int]:
     raw, off = _unpack_len_bytes(buf, off)
     try:
-        return pickle.loads(raw), off
+        return _SafeUnpickler(io.BytesIO(raw)).load(), off
+    except SerializationError:
+        raise
     except Exception as exc:
         raise SerializationError(f"%o payload failed to unpickle: {exc}") from exc
 
@@ -446,17 +493,6 @@ class _FastPath:
         tail = raw.decode("utf-8") if self.tail == "s" else bytes(raw)
         return (*head, tail)
 
-    def nbytes(self, fmt: str, values: Sequence[Any]) -> int:
-        if len(values) != self.n:
-            raise SerializationError(
-                f"format {fmt!r} expects {self.n} values, got {len(values)}"
-            )
-        if self.tail is None:
-            return self.st.size
-        v = values[-1]
-        tail_len = len(v.encode("utf-8")) if self.tail == "s" else len(v)
-        return self.st.size + 4 + tail_len
-
 
 @lru_cache(maxsize=1024)
 def _fast_path(fmt: str) -> _FastPath | None:
@@ -559,43 +595,3 @@ def unpack_payload(fmt: str, data: bytes) -> tuple[Any, ...]:
         )
     return tuple(values)
 
-
-def payload_nbytes(fmt: str, values: Sequence[Any]) -> int:
-    """Return the serialized size of a payload without materializing it.
-
-    Used by the discrete-event simulator's link models, which charge
-    transfer time proportional to wire size.
-    """
-    fast = _fast_path(fmt)
-    if fast is not None:
-        return fast.nbytes(fmt, values)
-    directives = parse_format(fmt)
-    if len(values) != len(directives):
-        raise SerializationError(
-            f"format {fmt!r} expects {len(directives)} values, got {len(values)}"
-        )
-    total = 0
-    for d, v in zip(directives, values):
-        code = d.code
-        if code in ("c", "b"):
-            total += 1
-        elif code in ("d", "ud", "f"):
-            total += 8
-        elif code == "s":
-            total += 4 + len(v.encode("utf-8"))
-        elif code == "ac":
-            total += 4 + len(v)
-        elif code in ("ad", "aud", "af"):
-            total += 4 + 8 * len(v)
-        elif code in ("ad32", "af32"):
-            total += 4 + 4 * len(v)
-        elif code == "am":
-            arr = np.asarray(v)
-            total += 8 + 8 * arr.size
-        elif code == "as":
-            total += 4 + sum(4 + len(s.encode("utf-8")) for s in v)
-        elif code == "o":
-            total += 4 + len(pickle.dumps(v, protocol=pickle.HIGHEST_PROTOCOL))
-        else:  # pragma: no cover - new directives must extend this table
-            total += len(d.packer(d.checker(v)))
-    return total

@@ -13,18 +13,14 @@ tear-down handshake (close broadcast down, per-subtree flush, acks up).
 
 from __future__ import annotations
 
-import queue
 import threading
-from typing import Any
+import time
+from collections import deque
+from typing import Any, Callable
 
-from .errors import FilterError, StreamClosedError
-from .events import (
-    CONTROL_STREAM_ID,
-    Direction,
-    Envelope,
-    StreamSpec,
-    TAG_STREAM_CLOSE,
-)
+from ..analysis.locks import make_lock
+from .errors import NetworkShutdownError, StreamClosedError
+from .events import CONTROL_STREAM_ID, StreamSpec, TAG_STREAM_CLOSE
 from .packet import Packet
 
 __all__ = ["Stream"]
@@ -38,20 +34,62 @@ class Stream:
         self.spec = spec
         self.stream_id = spec.stream_id
         self.members = spec.members
-        self._recv_q: "queue.Queue[Packet | Exception]" = queue.Queue()
-        self._closed = threading.Event()
-        self._close_acked = threading.Event()
+        # Aggregates and forwarded errors, in arrival order, guarded by
+        # one condition that every state change notifies (like
+        # BackEnd.recv): no receive polls.
+        self._cond = threading.Condition(make_lock("stream_cond"))
+        self._items: "deque[Packet | Exception]" = deque()
+        self._closed = threading.Event()  # set by the close ack
+        self._ended = False  # tbon: lock=_cond
 
     # -- called by the front-end dispatcher (root node thread) ------------------
     def _deliver(self, packet: Packet) -> None:
-        self._recv_q.put(packet)
+        with self._cond:
+            self._items.append(packet)
+            self._cond.notify_all()
 
     def _deliver_error(self, exc: Exception) -> None:
-        self._recv_q.put(exc)
+        with self._cond:
+            self._items.append(exc)
+            self._cond.notify_all()
 
     def _mark_closed(self) -> None:
-        self._close_acked.set()
-        self._closed.set()
+        with self._cond:
+            self._closed.set()
+            self._cond.notify_all()
+
+    def _end(self) -> None:
+        """The network shut down: wake every waiter; later waits fail fast."""
+        with self._cond:
+            self._ended = True
+            self._cond.notify_all()
+
+    def _wait(self, ready: Callable[[], bool], timeout: float | None) -> bool:
+        """Wait (holding ``_cond``) until ``ready()`` or the network ended.
+
+        Returns False on timeout.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not ready() and not self._ended:
+            wait = None if deadline is None else deadline - time.monotonic()
+            if wait is not None and wait <= 0:
+                return False
+            self._cond.wait(wait)
+        return True
+
+    def _shut_down(self) -> NetworkShutdownError:
+        return NetworkShutdownError(
+            f"stream {self.stream_id}: the network has been shut down"
+        )
+
+    def _await_close_ack(self, timeout: float | None) -> None:
+        """Wait (holding ``_cond``) for the close ack; raise if it never came."""
+        if not self._wait(self._closed.is_set, timeout):
+            raise TimeoutError(
+                f"stream {self.stream_id}: close not acked in {timeout}s"
+            )
+        if not self._closed.is_set():
+            raise self._shut_down()
 
     # -- application API -------------------------------------------------------
     def send(self, tag: int, fmt: str, *values: Any) -> None:
@@ -64,39 +102,39 @@ class Stream:
     def recv(self, timeout: float | None = None) -> Packet:
         """Receive the next aggregated packet from the root filter.
 
+        Packets already queued are returned first, even after a close or
+        a network shutdown.
+
         Raises:
             TimeoutError: nothing arrived in ``timeout`` seconds.
             FilterError: a filter failed somewhere in the tree (the
                 error is forwarded to the front-end).
             StreamClosedError: the stream closed and the queue drained.
+            NetworkShutdownError: the network shut down and the queue
+                drained.
         """
-        step = 0.1
-        remaining = timeout
-        while True:
-            if self._closed.is_set() and self._recv_q.empty():
-                raise StreamClosedError(f"stream {self.stream_id} is closed")
-            try:
-                item = self._recv_q.get(
-                    timeout=step if remaining is None else min(step, remaining)
+        with self._cond:
+            if not self._wait(
+                lambda: bool(self._items) or self._closed.is_set(), timeout
+            ):
+                raise TimeoutError(
+                    f"stream {self.stream_id}: no packet within {timeout}s"
                 )
-            except queue.Empty:
-                if remaining is not None:
-                    remaining -= step
-                    if remaining <= 0:
-                        raise TimeoutError(
-                            f"stream {self.stream_id}: no packet within {timeout}s"
-                        ) from None
-                continue
-            if isinstance(item, Exception):
-                raise item
-            return item
+            if not self._items:
+                if self._closed.is_set():
+                    raise StreamClosedError(f"stream {self.stream_id} is closed")
+                raise self._shut_down()
+            item = self._items.popleft()
+        if isinstance(item, Exception):
+            raise item
+        return item
 
     def recv_nowait(self) -> Packet | None:
         """Non-blocking receive; None if nothing is queued."""
-        try:
-            item = self._recv_q.get_nowait()
-        except queue.Empty:
-            return None
+        with self._cond:
+            if not self._items:
+                return None
+            item = self._items.popleft()
         if isinstance(item, Exception):
             raise item
         return item
@@ -106,18 +144,19 @@ class Stream:
 
         Convenience for the common "close then read every remaining
         aggregate" pattern; must be called *after* :meth:`close_async`.
+        Raises :class:`NetworkShutdownError` if the network shuts down
+        before the ack (the queued packets stay readable by ``recv``).
         """
+        with self._cond:
+            self._await_close_ack(timeout)
+            items = list(self._items)
+            self._items.clear()
         out: list[Packet] = []
-        if not self._close_acked.wait(timeout) and timeout is not None:
-            raise TimeoutError(f"stream {self.stream_id}: close not acked")
-        while True:
-            try:
-                item = self._recv_q.get_nowait()
-            except queue.Empty:
-                return out
+        for item in items:
             if isinstance(item, Exception):
                 raise item
             out.append(item)
+        return out
 
     def iter(self, timeout: float | None = None):
         """Iterate over aggregated packets until the stream closes.
@@ -146,9 +185,8 @@ class Stream:
         if self._closed.is_set():
             return
         self.close_async()
-        if not self._close_acked.wait(timeout):
-            raise TimeoutError(f"stream {self.stream_id}: close not acked in {timeout}s")
-        self._closed.set()
+        with self._cond:
+            self._await_close_ack(timeout)
 
     @property
     def is_closed(self) -> bool:

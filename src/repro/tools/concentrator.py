@@ -274,12 +274,20 @@ class Concentrator:
             be.wait_for_stream(stream.stream_id)
             pkt = be.recv(timeout=timeout, stream_id=stream.stream_id)
             wave = pkt.values[0]
-            row = np.asarray(self.sampler(be.rank, wave), dtype=np.float64)
-            if len(row) != len(self.metrics):
-                raise TBONError(
-                    f"sampler returned {len(row)} values for "
-                    f"{len(self.metrics)} metrics"
-                )
+            try:
+                row = np.asarray(self.sampler(be.rank, wave), dtype=np.float64)
+                if len(row) != len(self.metrics):
+                    raise TBONError(
+                        f"sampler returned {len(row)} values for "
+                        f"{len(self.metrics)} metrics"
+                    )
+            except Exception as exc:
+                # The wave can never complete: fail the waiting recv now
+                # instead of letting it time out.
+                if not isinstance(exc, TBONError):
+                    exc = TBONError(f"sampler failed on back-end {be.rank}: {exc!r}")
+                stream._deliver_error(exc)
+                return
             stats = _Stats.from_row(self.metrics, row)
             be.send(stream.stream_id, _TAG_ROW, CONCENTRATOR_FMT, *stats.to_payload())
 

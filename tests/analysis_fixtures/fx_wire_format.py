@@ -7,12 +7,7 @@ line (everything after ``tbon:`` is the pragma body).
 """
 
 from repro.core.packet import Packet, make_packet
-from repro.core.serialization import (
-    pack_payload,
-    payload_nbytes,
-    unpack_payload,
-    validate_values,
-)
+from repro.core.serialization import pack_payload, unpack_payload, validate_values
 
 
 def positives(be, stream):
@@ -21,7 +16,6 @@ def positives(be, stream):
     pack_payload("%d", (1, 2))  # expect: TB102
     validate_values("%d %d", (1,))  # expect: TB102
     pack_payload("%d %s", (1, 2))  # expect: TB103
-    payload_nbytes("%f", ("no",))  # expect: TB103
     Packet(1, 2, "%d %d", (1,))  # expect: TB102
     Packet(1, 2, "%d", (True,))  # expect: TB103
     make_packet(1, 2, "%d", 1, 2)  # expect: TB102

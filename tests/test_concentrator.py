@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -131,7 +133,10 @@ class TestLive:
             assert net.node_errors() == {}
 
     def test_sampler_width_checked(self):
+        """A wrong-width row fails the evaluation at once, not at timeout."""
         with Network(balanced_topology(2, 2)) as net:
             c = Concentrator(net, ["a", "b"], lambda rank, wave: [1.0])
-            with pytest.raises(Exception):
+            t0 = time.monotonic()
+            with pytest.raises(TBONError, match="1 values for 2 metrics"):
                 c.evaluate("(sum a)", timeout=5)
+            assert time.monotonic() - t0 < 1.0

@@ -15,44 +15,33 @@ from repro import (
     balanced_topology,
     flat_topology,
 )
-from repro.core.packet import PayloadRef
 from repro.core.serialization import pack_payload, unpack_payload
 
 TAG = FIRST_APPLICATION_TAG
 
 
-class TestPayloadRefConcurrency:
-    def test_concurrent_incref_decref_balanced(self):
-        """Refcount arithmetic is atomic under thread contention."""
-        ref = PayloadRef("%af", (np.arange(100, dtype=np.float64),))
-        n_threads, per_thread = 8, 500
-
-        def churn():
-            for _ in range(per_thread):
-                ref.incref()
-                ref.serialize()
-                ref.decref()
-
-        threads = [threading.Thread(target=churn) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert ref.refcount == 1
-
-    def test_concurrent_serialize_same_buffer(self):
-        ref = PayloadRef("%af", (np.arange(1000, dtype=np.float64),))
-        buffers = []
+class TestFrameMemoConcurrency:
+    def test_concurrent_to_bytes_equal_frames(self):
+        """Racing to_bytes calls on one packet all return the same frame."""
+        pkt = Packet(1, TAG, "%af %d", (np.arange(1000, dtype=np.float64), 7))
+        frames = []
+        start = threading.Barrier(8)
 
         def grab():
-            buffers.append(ref.serialize())
+            start.wait()
+            for _ in range(50):
+                frames.append(pkt.to_bytes())
 
         threads = [threading.Thread(target=grab) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert all(b is buffers[0] for b in buffers)
+        assert len(frames) == 8 * 50
+        assert all(f == frames[0] for f in frames)
+        back = Packet.from_bytes(frames[0])
+        assert np.array_equal(back.values[0], np.arange(1000, dtype=np.float64))
+        assert back.values[1] == 7
 
 
 class TestSerializationEdges:

@@ -121,6 +121,38 @@ def test_corrupt_frame_drops_one_connection_and_loop_lives():
         assert s.recv(timeout=5).values == (5,)
 
 
+_GADGET_RAN: list[str] = []
+
+
+def _gadget(note: str) -> None:
+    _GADGET_RAN.append(note)
+
+
+class _Gadget:
+    def __reduce__(self):
+        return _gadget, ("unpickled off the socket",)
+
+
+def test_pickle_gadget_frame_drops_one_connection_and_loop_lives():
+    """A ``%o`` frame naming a non-allowlisted global is a corrupt frame:
+    the gadget never runs, one connection drops, the loop lives."""
+    with Network(flat_topology(2), transport="tcp") as net:
+        transport = net.transport
+        bad_leaf, good_leaf = net.topology.backends
+        body = Packet(1, TAG, "%o", (_Gadget(),)).to_bytes()
+        frame = _HDR.pack(len(body), 0, bad_leaf) + body
+        root_side = transport._conns[(net.topology.root, bad_leaf)]
+        transport._conns[(bad_leaf, net.topology.root)].sock.send(frame)
+        assert _wait(lambda: root_side.closed)
+        assert _GADGET_RAN == []
+        assert transport._reactor._thread.is_alive()
+        s = net.new_stream(members=[good_leaf], transform="sum", sync="wait_for_all")
+        be = net.backend(good_leaf)
+        be.wait_for_stream(s.stream_id)
+        be.send(s.stream_id, TAG, "%d", 5)
+        assert s.recv(timeout=5).values == (5,)
+
+
 def test_char_payload_crosses_the_socket_transport():
     """``%c`` unpacks from the memoryview bodies the reactor hands in."""
     with Network(flat_topology(2), transport="tcp") as net:

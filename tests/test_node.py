@@ -128,7 +128,12 @@ class TestDataPath:
         root.handle(Envelope(-1, Direction.DOWNSTREAM, spec_packet(spec)))
         pkt = Packet(1, 100, "%d", (5,))
         root.handle(Envelope(-1, Direction.DOWNSTREAM, pkt))
-        assert pkt.payload_ref().refcount >= 2  # one per child
+        kids = topo.children(0)
+        for c in kids:  # the forwarded stream-create comes first
+            assert transport.inbox(c).get(timeout=1).packet.tag == TAG_STREAM_CREATE
+        got = [transport.inbox(c).get(timeout=1).packet for c in kids]
+        assert len(got) == 2
+        assert all(g is pkt for g in got)  # one packet object, not k copies
 
 
 class TestControlEdgeCases:

@@ -1,4 +1,4 @@
-"""Unit tests for packets and counted payload references."""
+"""Unit tests for packets and their serialize-once frame memo."""
 
 from __future__ import annotations
 
@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.errors import SerializationError
-from repro.core.packet import (
-    GLOBAL_PACKET_STATS,
-    Packet,
-    PayloadRef,
-    make_packet,
-    total_nbytes,
-)
+from repro.core import packet as packet_mod
+from repro.core.events import Direction
+from repro.core.packet import Packet, make_packet
+from repro.core.topology import flat_topology
+from repro.transport.local import ThreadTransport
 
 
 class TestPacket:
@@ -56,9 +54,13 @@ class TestPacket:
         assert p.hops == 1
 
     def test_nbytes(self):
+        """The frame's payload section is the packed payload: 4 + 8n bytes."""
         p = make_packet(1, 100, "%ad", np.arange(10, dtype=np.int64))
-        assert p.nbytes() == 4 + 80
-        assert total_nbytes([p, p]) == 2 * (4 + 80)
+        frame = p.to_bytes()
+        header_len = int.from_bytes(frame[:4], "little")
+        body_at = 4 + header_len
+        assert int.from_bytes(frame[body_at : body_at + 4], "little") == 4 + 80
+        assert len(frame) == body_at + 4 + 4 + 80
 
     def test_seq_monotonic(self):
         a = make_packet(1, 100, "%d", 1)
@@ -67,42 +69,42 @@ class TestPacket:
 
 
 class TestPayloadRef:
-    def test_serialize_once(self):
-        GLOBAL_PACKET_STATS.reset()
+    """The payload a multicast shares: one packet, one memoized frame."""
+
+    def test_serialize_once(self, monkeypatch):
+        """k reads of one packet's frame pack the payload once, share one object."""
+        packs = []
+        orig = packet_mod.pack_payload
+
+        def counting(fmt, values):
+            packs.append(fmt)
+            return orig(fmt, values)
+
+        monkeypatch.setattr(packet_mod, "pack_payload", counting)
         p = make_packet(1, 100, "%af", np.arange(100, dtype=np.float64))
-        ref = p.payload_ref()
-        buf1 = ref.serialize()
-        buf2 = ref.serialize()
-        assert buf1 is buf2
-        assert GLOBAL_PACKET_STATS.serializations == 1
+        frames = [p.to_bytes() for _ in range(8)]
+        assert all(f is frames[0] for f in frames)
+        assert packs.count("%af") == 1
 
-    def test_multicast_shares_one_buffer(self):
+    def test_multicast_shares_one_buffer(self, monkeypatch):
         """A k-way multicast must serialize exactly once (zero-copy)."""
-        GLOBAL_PACKET_STATS.reset()
-        p = make_packet(1, 100, "%af", np.arange(64, dtype=np.float64))
-        ref = p.payload_ref()
+        packs = []
+        orig = packet_mod.pack_payload
+
+        def counting(fmt, values):
+            packs.append(fmt)
+            return orig(fmt, values)
+
+        monkeypatch.setattr(packet_mod, "pack_payload", counting)
         k = 8
-        ref.incref(k - 1)
-        assert ref.refcount == k
-        for _ in range(k):
-            ref.serialize()
-            ref.decref()
-        assert GLOBAL_PACKET_STATS.serializations == 1
-        assert GLOBAL_PACKET_STATS.max_refcount == k
-        assert ref.refcount == 0
-
-    def test_refcount_underflow_rejected(self):
-        ref = PayloadRef("%d", (1,))
-        ref.decref()
-        with pytest.raises(SerializationError):
-            ref.decref()
-
-    def test_buffer_dropped_at_zero(self):
-        ref = PayloadRef("%d", (1,))
-        ref.serialize()
-        ref.decref()
-        assert ref._buffer is None
-
-    def test_payload_ref_cached_on_packet(self):
-        p = make_packet(1, 100, "%d", 1)
-        assert p.payload_ref() is p.payload_ref()
+        topo = flat_topology(k)
+        transport = ThreadTransport()
+        transport.bind(topo)
+        p = make_packet(1, 100, "%af", np.arange(64, dtype=np.float64))
+        transport.multicast(0, topo.children(0), Direction.DOWNSTREAM, p)
+        got = [transport.inbox(c).get(timeout=1).packet for c in topo.children(0)]
+        assert len(got) == k
+        assert all(q is p for q in got)
+        frames = [q.to_bytes() for q in got]
+        assert all(f is frames[0] for f in frames)
+        assert packs.count("%af") == 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from repro.core.serialization import (
     FORMAT_DIRECTIVES,
     pack_payload,
     parse_format,
-    payload_nbytes,
     unpack_payload,
     validate_values,
 )
@@ -78,6 +79,26 @@ ROUNDTRIP_CASES = [
 ]
 
 
+def _documented_size(code, v):
+    """Wire size of one value per the directive table in serialization.py."""
+    if code in ("c", "b"):
+        return 1
+    if code in ("d", "ud", "f"):
+        return 8
+    if code == "s":
+        return 4 + len(v.encode("utf-8"))
+    if code == "ac":
+        return 4 + len(v)
+    if code in ("ad", "aud", "af", "ad32", "af32"):
+        return 4 + np.asarray(v).nbytes
+    if code == "am":
+        return 8 + np.asarray(v).nbytes
+    if code == "as":
+        return 4 + sum(4 + len(x.encode("utf-8")) for x in v)
+    assert code == "o"
+    return 4 + len(pickle.dumps(v, protocol=pickle.HIGHEST_PROTOCOL))
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("fmt,values", ROUNDTRIP_CASES)
     def test_roundtrip(self, fmt, values):
@@ -93,7 +114,10 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("fmt,values", ROUNDTRIP_CASES)
     def test_nbytes_matches_packed_size(self, fmt, values):
-        assert payload_nbytes(fmt, values) == len(pack_payload(fmt, values))
+        """The packed size is what the module docstring's table documents."""
+        assert len(pack_payload(fmt, values)) == sum(
+            _documented_size(d.code, v) for d, v in zip(parse_format(fmt), values)
+        )
 
     def test_scalar_coercion(self):
         out = validate_values("%d %f", (np.int64(3), np.float32(1.5)))
@@ -208,8 +232,8 @@ class Test32BitArrays:
         assert out[1].dtype == np.float32 and np.array_equal(out[1], v[1])
 
     def test_half_the_wire_size(self):
-        wide = payload_nbytes("%af", (np.zeros(100),))
-        narrow = payload_nbytes("%af32", (np.zeros(100, np.float32),))
+        wide = len(pack_payload("%af", (np.zeros(100),)))
+        narrow = len(pack_payload("%af32", (np.zeros(100, np.float32),)))
         assert narrow - 4 == (wide - 4) / 2
 
     def test_longest_match_parsing(self):
@@ -224,3 +248,82 @@ class Test32BitArrays:
         )
         assert out.dtype == np.float32
         assert abs(float(out[0]) - 1 / 3) < 1e-7
+
+
+_GADGET_RAN: list[str] = []
+
+
+def _gadget(note: str) -> None:
+    _GADGET_RAN.append(note)
+
+
+class _Gadget:
+    def __init__(self, fn, *args):
+        self.fn, self.args = fn, args
+
+    def __reduce__(self):
+        return self.fn, self.args
+
+
+class TestObjectAllowlist:
+    """``%o`` unpickles only allowlisted globals (see the module docstring)."""
+
+    def test_reduce_gadget_rejected_and_never_runs(self, tmp_path):
+        import os
+
+        marker = tmp_path / "ran"
+        for gadget in (
+            _Gadget(_gadget, "called"),
+            _Gadget(os.system, f"touch {marker}"),
+            _Gadget(eval, "__import__('os')"),
+            _Gadget(pack_payload, "%d", (1,)),  # a repro function, not a class
+        ):
+            data = pack_payload("%o", (gadget,))
+            with pytest.raises(SerializationError, match="may not load"):
+                unpack_payload("%o", data)
+        assert _GADGET_RAN == []
+        assert not marker.exists()
+
+    def test_every_object_payload_round_trips(self):
+        from repro.core.events import StreamSpec
+        from repro.core.topology import NodeRole, balanced_topology
+        from repro.filters_ext.graph_fold import tree_payload
+        from repro.filters_ext.graph_merge import graph_to_payload
+        from repro.learn.datasets import make_classification_shard
+        from repro.learn.dtree import fit_single
+        from repro.simulate.simnet import WaveMessage
+        from repro.telemetry.registry import Registry
+
+        import networkx as nx
+
+        reg = Registry("t")
+        reg.counter("c_total").inc()
+        reg.histogram("h_seconds").observe(0.5)
+        g = nx.DiGraph()
+        g.add_edge("a", "b", weight=2)
+        X, y = make_classification_shard(0, 40)
+        values = [
+            StreamSpec(3, (1, 2), "sum", "wait_for_all", sync_params={"window": 0.2}),
+            balanced_topology(2, 2),
+            NodeRole.BACK_END,
+            reg.snapshot(),
+            (7, 2, 101, "%d %af", (5, np.arange(3.0))),  # a p2p payload
+            {"n": 3, "names": ["x"], "arr": np.arange(4), "f": np.float32(1.5)},
+            fit_single(X, y, max_depth=2),
+            tree_payload([("r", "main")], [("r", "r")], "host1"),
+            graph_to_payload(g),
+            WaveMessage(64.0, {"k": 1}),
+            {1, 2},
+            frozenset({3}),
+            bytearray(b"ab"),
+            complex(1, 2),
+            range(3),
+            slice(1, 5, 2),
+            np.arange(6.0).reshape(2, 3).T,
+            np.dtype(np.int32),
+            np.int64(9),
+        ]
+        for v in values:
+            (out,) = unpack_payload("%o", pack_payload("%o", (v,)))
+            assert type(out) is type(v)
+            assert pickle.dumps(out) == pickle.dumps(v)

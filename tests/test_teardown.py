@@ -2,9 +2,10 @@
 
 A back-end owns no thread: the transport calls ``BackEnd.put`` on the
 delivering thread.  A multicast delivers to every live destination before it reports the
-dead ones, and ``Network.shutdown()`` closes every endpoint directly
-instead of sending a message down the tree — so neither depends on the
-tree being intact.  Each live scenario runs on both transports.
+dead ones, and ``Network.shutdown()`` closes every endpoint and ends
+every stream directly instead of sending a message down the tree — so
+neither depends on the tree being intact.  Each live scenario runs on
+both transports.
 """
 
 from __future__ import annotations
@@ -18,9 +19,22 @@ import pytest
 
 from repro import FIRST_APPLICATION_TAG, Network, balanced_topology, flat_topology
 from repro.core.backend import BackEnd
-from repro.core.errors import ChannelClosedError, TransportError
-from repro.core.events import CONTROL_STREAM_ID, Direction, Envelope, TAG_STREAM_CLOSE
+from repro.core.errors import (
+    ChannelClosedError,
+    NetworkShutdownError,
+    StreamClosedError,
+    TransportError,
+)
+from repro.core.events import (
+    CONTROL_STREAM_ID,
+    Direction,
+    Envelope,
+    StreamSpec,
+    TAG_STREAM_CLOSE,
+)
+from repro.core.frontend import FrontEnd
 from repro.core.packet import Packet
+from repro.core.stream import Stream
 from repro.reliability import FailureInjector
 from repro.transport.base import Transport, deliver_each
 from repro.transport.local import ThreadTransport
@@ -182,3 +196,63 @@ class TestBackEndEndpoint:
         assert [type(e).__name__ for e in errors] == ["NetworkShutdownError"]
         with pytest.raises(ChannelClosedError):
             be.put(Envelope(0, Direction.DOWNSTREAM, Packet(1, TAG, "%d", (1,))))
+
+
+class TestStreamTeardown:
+    def test_shutdown_ends_blocked_and_later_recv(self, net3x2):
+        """Queued aggregates are still returned after shutdown; then every
+        ``recv`` — blocked at the time or called later — raises."""
+        idle = net3x2.new_stream(transform="sum", sync="wait_for_all")
+        busy = net3x2.new_stream(transform="sum", sync="wait_for_all")
+        net3x2.frontend.dispatch(
+            Envelope(0, Direction.UPSTREAM, Packet(busy.stream_id, TAG, "%d", (7,)))
+        )
+        errors = []
+        entered = threading.Event()
+
+        def blocked():
+            entered.set()
+            try:
+                idle.recv()  # no timeout: only shutdown can end this
+            except Exception as exc:  # recorded for the assertion below
+                errors.append(exc)
+
+        t = threading.Thread(target=blocked, daemon=True)
+        t.start()
+        entered.wait(2)
+        time.sleep(0.05)
+        net3x2.shutdown()
+        t.join(2)
+        assert not t.is_alive()
+        assert [type(e) for e in errors] == [NetworkShutdownError]
+        assert busy.recv(timeout=2).values == (7,)
+        for s in (busy, idle, busy):
+            with pytest.raises(NetworkShutdownError):
+                s.recv(timeout=2)
+
+    def test_close_ack_wakes_blocked_recv(self):
+        """The close ack itself wakes a blocked ``recv`` — no poll."""
+        frontend = FrontEnd()
+        stream = Stream(None, StreamSpec(1, (1, 2), "sum", "wait_for_all"))
+        frontend.register(stream)
+        woke = []
+        entered = threading.Event()
+
+        def blocked():
+            entered.set()
+            try:
+                stream.recv()
+            except StreamClosedError:
+                woke.append(time.monotonic())
+
+        t = threading.Thread(target=blocked, daemon=True)
+        t.start()
+        entered.wait(2)
+        time.sleep(0.02)
+        acked = time.monotonic()
+        ack = Packet(CONTROL_STREAM_ID, TAG_STREAM_CLOSE, "%d", (1,))
+        frontend.dispatch(Envelope(0, Direction.UPSTREAM, ack))
+        t.join(2)
+        assert not t.is_alive()
+        assert len(woke) == 1
+        assert woke[0] - acked < 0.05
