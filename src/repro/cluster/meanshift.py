@@ -21,6 +21,16 @@ This is the paper's single-node implementation for two-dimensional data
 * each search runs "until it converges on a local maximum that we keep
   as a peak" (or a maximum-iteration threshold is hit).
 
+All searches of a run advance together in one batched pass: each
+iteration computes the distances of every still-moving window to every
+point as one (active × n) array and the new centroids as one ``w @ pts``
+product, so the per-iteration cost is a handful of NumPy calls whatever
+the number of starts.  Starts are processed in blocks of at most
+:data:`BLOCK_ELEMENTS` // n windows, which bounds those arrays to a few
+MB even on a single node holding tens of thousands of points.  The grid
+scans (:func:`density_starts`, :func:`collapse_points`) form their cell
+groups with one ``lexsort`` and sum them with ``np.add.reduceat``.
+
 :class:`MeanShiftResult` carries the work counters (points scanned,
 point×iteration products) that calibrate the discrete-event performance
 model in :mod:`repro.simulate.calibrate`.
@@ -53,6 +63,10 @@ __all__ = [
 DEFAULT_BANDWIDTH = 50.0
 DEFAULT_MAX_ITER = 100
 DEFAULT_TOL = 1e-3
+
+#: Cap on active windows × points in one block of the batched search:
+#: each (active × n) float64 array of a block stays within 2 MB.
+BLOCK_ELEMENTS = 1 << 18
 
 
 def gaussian_kernel(u: np.ndarray) -> np.ndarray:
@@ -121,6 +135,21 @@ def _as_weights(weights: np.ndarray | None, n: int) -> np.ndarray:
     return w
 
 
+def _cell_groups(
+    pts: np.ndarray, w: np.ndarray, cell: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group points by grid cell with one lexicographic sort.
+
+    Returns the points and weights in cell order plus the offset where
+    each cell's run begins (the ``np.add.reduceat`` indices).
+    """
+    cells = np.floor(pts / cell).astype(np.int64)
+    order = np.lexsort((cells[:, 1], cells[:, 0]))
+    boundaries = np.any(np.diff(cells[order], axis=0) != 0, axis=1)
+    groups = np.concatenate(([0], np.nonzero(boundaries)[0] + 1))
+    return pts[order], w[order], groups
+
+
 def density_starts(
     data: np.ndarray,
     bandwidth: float = DEFAULT_BANDWIDTH,
@@ -151,23 +180,13 @@ def density_starts(
     if cell_size <= 0:
         raise TBONError(f"scan cell must be positive, got {cell_size}")
     w = _as_weights(weights, len(pts))
-    cells = np.floor(pts / cell_size).astype(np.int64)
-    # Group points by cell via lexicographic sort.
-    order = np.lexsort((cells[:, 1], cells[:, 0]))
-    sorted_cells = cells[order]
-    sorted_pts = pts[order]
-    sorted_w = w[order]
-    boundaries = np.any(np.diff(sorted_cells, axis=0) != 0, axis=1)
-    group_starts = np.concatenate(([0], np.nonzero(boundaries)[0] + 1, [len(pts)]))
-    starts = []
-    for a, b in zip(group_starts[:-1], group_starts[1:]):
-        cell_w = sorted_w[a:b]
-        total = cell_w.sum()
-        if total >= density_threshold:
-            starts.append((sorted_pts[a:b] * cell_w[:, None]).sum(axis=0) / total)
-    if not starts:
+    sp, sw, groups = _cell_groups(pts, w, cell_size)
+    total = np.add.reduceat(sw, groups)
+    dense = total >= density_threshold
+    if not dense.any():
         return np.empty((0, 2))
-    return np.asarray(starts)
+    sums = np.add.reduceat(sp * sw[:, None], groups, axis=0)
+    return sums[dense] / total[dense, None]
 
 
 def collapse_points(
@@ -192,21 +211,72 @@ def collapse_points(
     if cell <= 0:
         raise TBONError(f"cell must be positive, got {cell}")
     w = _as_weights(weights, len(pts))
-    cells = np.floor(pts / cell).astype(np.int64)
-    order = np.lexsort((cells[:, 1], cells[:, 0]))
-    sc, sp, sw = cells[order], pts[order], w[order]
-    boundaries = np.any(np.diff(sc, axis=0) != 0, axis=1)
-    starts = np.concatenate(([0], np.nonzero(boundaries)[0] + 1, [len(sp)]))
-    reps = np.empty((len(starts) - 1, 2))
-    rep_w = np.empty(len(starts) - 1)
-    for i, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
-        cw = sw[a:b]
-        total = cw.sum()
-        rep_w[i] = total
-        reps[i] = (
-            (sp[a:b] * cw[:, None]).sum(axis=0) / total if total > 0 else sp[a:b].mean(axis=0)
-        )
+    sp, sw, groups = _cell_groups(pts, w, cell)
+    rep_w = np.add.reduceat(sw, groups)
+    reps = np.add.reduceat(sp * sw[:, None], groups, axis=0)
+    heavy = rep_w > 0
+    reps[heavy] /= rep_w[heavy, None]
+    if not heavy.all():  # weightless cells fall back to the plain mean
+        counts = np.diff(groups, append=len(sp))
+        reps[~heavy] = np.add.reduceat(sp, groups, axis=0)[~heavy] / counts[~heavy, None]
     return reps, rep_w
+
+
+def _kernel(name: str) -> Callable[[np.ndarray], np.ndarray]:
+    if name not in KERNELS:
+        raise TBONError(f"unknown kernel {name!r}; options: {sorted(KERNELS)}")
+    return KERNELS[name]
+
+
+def _shift_all(
+    pts: np.ndarray,
+    pw: np.ndarray,
+    centroids: np.ndarray,
+    bandwidth: float,
+    kfn: Callable[[np.ndarray], np.ndarray],
+    max_iter: int,
+    tol: float,
+) -> np.ndarray:
+    """Shift every row of ``centroids`` (in place) to its density mode.
+
+    The searches advance together, a block of at most
+    :data:`BLOCK_ELEMENTS` // n windows at a time.  Each iteration
+    weighs every point for every active window as one (active × n)
+    array and moves the windows to their weighted means with one
+    ``w @ pts``.  A window leaves the active set when its shift drops
+    below ``tol`` or its window is empty (total weight ≤ 0, where it
+    stays put), so each search stops at the iteration a lone search
+    would.  Returns the per-search iteration counts.
+    """
+    iters = np.zeros(len(centroids), dtype=np.int64)
+    px = np.ascontiguousarray(pts[:, 0])
+    py = np.ascontiguousarray(pts[:, 1])
+    rows = max(1, BLOCK_ELEMENTS // max(1, len(pts)))
+    for lo in range(0, len(centroids), rows):
+        active = np.arange(lo, min(lo + rows, len(centroids)))
+        for _ in range(max_iter):
+            if not len(active):
+                break
+            iters[active] += 1
+            c = centroids[active]
+            dx = px - c[:, :1]
+            dy = py - c[:, 1:]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            np.sqrt(dx, out=dx)
+            dx /= bandwidth
+            w = kfn(dx)
+            w *= pw
+            total = w.sum(axis=1)
+            moving = ~(total <= 0)  # an empty window has no density information
+            new = (w @ pts)[moving] / total[moving, None]
+            active = active[moving]
+            step = new - centroids[active]
+            shift = np.sqrt((step * step).sum(axis=1))
+            centroids[active] = new
+            active = active[~(shift < tol)]
+    return iters
 
 
 def mean_shift_search(
@@ -226,32 +296,20 @@ def mean_shift_search(
     shift density estimator calculates a vector that will move the
     current centroid toward higher density areas").  Stops when the
     shift magnitude drops below ``tol`` ("successive iterations do not
-    yield a new centroid") or after ``max_iter`` iterations.
+    yield a new centroid"), when the window holds no weight, or after
+    ``max_iter`` iterations.  This is a one-window run of the batched
+    pass :func:`mean_shift` uses for all its starts at once.
 
     Returns the converged centroid and the iteration count.
     """
     pts = _as_points(data)
-    if kernel not in KERNELS:
-        raise TBONError(f"unknown kernel {kernel!r}; options: {sorted(KERNELS)}")
-    kfn = KERNELS[kernel]
+    kfn = _kernel(kernel)
     pw = _as_weights(weights, len(pts))
     centroid = np.asarray(start, dtype=np.float64).copy()
     if centroid.shape != (2,):
         raise TBONError(f"start must be a 2-vector, got shape {centroid.shape}")
-    iters = 0
-    for _ in range(max_iter):
-        iters += 1
-        d = np.linalg.norm(pts - centroid, axis=1)
-        w = kfn(d / bandwidth) * pw
-        total = w.sum()
-        if total <= 0:
-            break  # empty window: no density information here
-        new_centroid = (pts * w[:, None]).sum(axis=0) / total
-        shift = np.linalg.norm(new_centroid - centroid)
-        centroid = new_centroid
-        if shift < tol:
-            break
-    return centroid, iters
+    iters = _shift_all(pts, pw, centroid.reshape(1, 2), bandwidth, kfn, max_iter, tol)
+    return centroid, int(iters[0])
 
 
 def merge_peaks(peaks: np.ndarray, radius: float) -> np.ndarray:
@@ -289,6 +347,11 @@ def mean_shift(
 ) -> MeanShiftResult:
     """Full single-node mean-shift: density scan, searches, peak merge.
 
+    Every start's search runs in one batched pass (see
+    :func:`mean_shift_search` for one search's steps): the windows
+    advance together, in blocks capped at :data:`BLOCK_ELEMENTS`
+    window×point products, and each stops at its own convergence.
+
     Args:
         data: (n, 2) points.
         bandwidth: window scale (the paper's fixed 50 by default).
@@ -308,28 +371,22 @@ def mean_shift(
         scanned = len(pts)
     else:
         start_arr = np.asarray(starts, dtype=np.float64).reshape(-1, 2)
-    peaks = []
-    total_iters = 0
-    point_iter = 0
-    for s in start_arr:
-        mode, iters = mean_shift_search(
-            pts,
-            s,
-            bandwidth=bandwidth,
-            kernel=kernel,
-            max_iter=max_iter,
-            tol=tol,
-            weights=weights,
-        )
-        peaks.append(mode)
-        total_iters += iters
-        point_iter += iters * len(pts)
-    merged = merge_peaks(np.asarray(peaks).reshape(-1, 2), radius=bandwidth / 2)
+    modes = start_arr.copy()
+    iters = _shift_all(
+        pts,
+        _as_weights(weights, len(pts)),
+        modes,
+        bandwidth,
+        _kernel(kernel),
+        max_iter,
+        tol,
+    )
+    total_iters = int(iters.sum())
     return MeanShiftResult(
-        peaks=merged,
+        peaks=merge_peaks(modes, radius=bandwidth / 2),
         starts=start_arr,
         iterations=total_iters,
-        point_iter_products=point_iter,
+        point_iter_products=total_iters * len(pts),
         points_scanned=scanned,
     )
 

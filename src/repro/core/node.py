@@ -647,9 +647,9 @@ class NodeRunner:
             )
         if _TEL.enabled:
             self._m_down_in.inc()
-        # NB: no per-hop mutation here — downstream packets are shared by
-        # reference across siblings (counted references), so they must be
-        # treated as immutable.
+        # NB: no per-hop mutation here — every child receives the one
+        # packet object (CPython's reference count is what counts the
+        # sharing), so it must be treated as immutable.
         if st.down_transform is not None:
             outputs = st.down_transform.execute([packet], st.ctx)
         else:

@@ -7,7 +7,7 @@ so that simulated series are honest rescalings of real compute, not
 invented numbers.
 
 :func:`calibrate_mean_shift` times the actual NumPy kernels
-(:func:`repro.cluster.meanshift.mean_shift_search`,
+(:func:`repro.cluster.meanshift.mean_shift`,
 :func:`~repro.cluster.meanshift.density_starts`,
 :func:`~repro.cluster.meanshift.collapse_points`) and a real leaf and
 merge step on probe data, yielding a :class:`MeanShiftCostModel` whose
@@ -106,7 +106,12 @@ class MeanShiftCostModel:
 
 #: Frozen dev-machine calibration for timing-independent tests
 #: (recorded from a `calibrate_mean_shift()` run; benchmarks always
-#: re-calibrate live).
+#: re-calibrate live).  It stays frozen when the kernel gets faster, so
+#: `tests/test_simnet.py::TestPinnedNumbers` do not move, and its costs
+#: are those of the per-start search loop that preceded the batched
+#: pass.  On a 2-vCPU Xeon VM, live calibration of the batched pass
+#: reads `per_point_iter` ≈ 1.1e-8 s and `leaf_time` ≈ 0.07 s, against
+#: 7.1e-8 s and 0.32–0.38 s for the per-start loop on the same host.
 REFERENCE_MODEL = MeanShiftCostModel(
     per_point_iter=7.1e-8,
     per_scan_point=5.0e-7,

@@ -5,8 +5,9 @@ thread (a queue put, or a direct call into a back-end).  This is the
 reference transport for the TBON semantics: channels are FIFO and
 reliable by construction, packets move by reference (the in-process
 stand-in for MRNet's zero-copy data path — a k-way multicast enqueues
-one shared :class:`~repro.core.packet.Packet` object k times and bumps
-its counted payload reference accordingly).
+one shared :class:`~repro.core.packet.Packet` object k times, and
+CPython's reference count on that one object is the counted reference
+MRNet keeps by hand).
 """
 
 from __future__ import annotations

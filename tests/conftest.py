@@ -103,3 +103,34 @@ def send_from_all(network: Network, stream, tag: int, fmt: str, value_fn):
         be.send(stream.stream_id, tag, fmt, *values)
 
     network.run_backends(leaf)
+
+
+def object_payload_samples() -> dict[str, object]:
+    """One value of every type the program sends in a ``%o`` slot."""
+    import networkx as nx
+
+    from repro.core.events import StreamSpec
+    from repro.filters_ext.graph_fold import tree_payload
+    from repro.filters_ext.graph_merge import graph_to_payload
+    from repro.learn.datasets import make_classification_shard
+    from repro.learn.dtree import fit_single
+    from repro.simulate.simnet import WaveMessage
+    from repro.telemetry.registry import Registry
+
+    reg = Registry("t")
+    reg.counter("c_total").inc()
+    reg.histogram("h_seconds").observe(0.5)
+    g = nx.DiGraph()
+    g.add_edge("a", "b", weight=2)
+    X, y = make_classification_shard(0, 40)
+    return {
+        "stream_spec": StreamSpec(3, (1, 2), "sum", "wait_for_all", sync_params={"window": 0.2}),
+        "topology": balanced_topology(2, 2),
+        "telemetry_snapshot": reg.snapshot(),
+        "p2p": (7, 2, 101, "%d %af", (5, np.arange(3.0))),
+        "wave_message": WaveMessage(64.0, {"k": 1}),
+        "decision_tree": fit_single(X, y, max_depth=2),
+        "graph_fold": tree_payload([("r", "main")], [("r", "r")], "host1"),
+        "graph_merge": graph_to_payload(g),
+        "numpy_array": np.arange(6.0).reshape(2, 3).T,
+    }

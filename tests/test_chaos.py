@@ -26,8 +26,13 @@ from __future__ import annotations
 
 import pytest
 
+import time
+
+from repro.core.errors import StreamError
 from repro.core.topology import balanced_topology
 from repro.reliability.chaos import (
+    CUT_GRACE,
+    ChaosEngine,
     ChaosReport,
     ChaosSchedule,
     CrashFault,
@@ -111,6 +116,33 @@ def test_crash_schedule_executes():
     assert report.ok, report.format()
     assert f"crash rank={victim} after=1" in report.trace
     assert report.n_processes_after == report.n_processes_before - 1
+
+
+class _SilentBackEnd:
+    """A back-end whose stream announcement never arrives."""
+
+    def __init__(self, rank):
+        self.rank = rank
+
+    def wait_for_stream(self, stream_id, timeout=5.0):
+        time.sleep(timeout)
+        raise StreamError(f"stream {stream_id} not announced in time")
+
+
+def test_await_stream_gives_up_only_below_a_cut():
+    engine = ChaosEngine(ChaosSchedule(seed=0))
+    try:
+        engine._mark_cut(frozenset({4}))
+        t0 = time.monotonic()
+        with pytest.raises(StreamError):
+            engine.await_stream(_SilentBackEnd(4), 1, timeout=5.0)
+        assert time.monotonic() - t0 < CUT_GRACE + 1.0
+        t0 = time.monotonic()
+        with pytest.raises(StreamError):
+            engine.await_stream(_SilentBackEnd(5), 1, timeout=0.5)
+        assert time.monotonic() - t0 >= 0.5  # no cut: the full timeout
+    finally:
+        engine.stop()
 
 
 def test_report_format_mentions_invariants():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import TBONError
+from repro.cluster import meanshift
 from repro.cluster.datagen import ClusterSpec, full_dataset, leaf_dataset, make_clusters
 from repro.cluster.meanshift import (
     KERNELS,
@@ -180,6 +181,164 @@ class TestFullPipeline:
     def test_non_2d_rejected(self):
         with pytest.raises(TBONError):
             mean_shift(np.zeros((5, 3)))
+
+
+# -- per-start loop oracles ---------------------------------------------------
+def _oracle_search(pts, start, bandwidth, kernel, max_iter, tol, pw):
+    """One window shifted alone, one NumPy pass per iteration."""
+    kfn = KERNELS[kernel]
+    centroid = np.asarray(start, dtype=np.float64).copy()
+    iters = 0
+    for _ in range(max_iter):
+        iters += 1
+        d = np.linalg.norm(pts - centroid, axis=1)
+        w = kfn(d / bandwidth) * pw
+        total = w.sum()
+        if total <= 0:
+            break
+        new_centroid = (pts * w[:, None]).sum(axis=0) / total
+        shift = np.linalg.norm(new_centroid - centroid)
+        centroid = new_centroid
+        if shift < tol:
+            break
+    return centroid, iters
+
+
+def _oracle_cells(pts, w, cell):
+    cells = [tuple(c) for c in np.floor(pts / cell).astype(np.int64)]
+    for key in sorted(set(cells)):
+        idx = [i for i, c in enumerate(cells) if c == key]
+        yield pts[idx], w[idx]
+
+
+def _oracle_collapse(pts, w, cell):
+    reps, rep_w = [], []
+    for cp, cw in _oracle_cells(pts, w, cell):
+        total = cw.sum()
+        rep_w.append(total)
+        reps.append((cp * cw[:, None]).sum(axis=0) / total if total > 0 else cp.mean(axis=0))
+    return np.asarray(reps), np.asarray(rep_w)
+
+
+def _oracle_density_starts(pts, w, cell, threshold):
+    return np.asarray(
+        [
+            (cp * cw[:, None]).sum(axis=0) / cw.sum()
+            for cp, cw in _oracle_cells(pts, w, cell)
+            if cw.sum() >= threshold
+        ]
+    ).reshape(-1, 2)
+
+
+def _batched_modes(monkeypatch, pts, starts, **kw):
+    """``mean_shift`` over ``starts``, with the per-start modes it merges."""
+    seen = []
+
+    def capture(peaks, radius):
+        seen.append(np.array(peaks))
+        return merge_peaks(peaks, radius)
+
+    monkeypatch.setattr(meanshift, "merge_peaks", capture)
+    res = mean_shift(pts, starts=starts, **kw)
+    return seen[0], res
+
+
+_SPEC = ClusterSpec(points_per_cluster=150)
+_FAR = np.array([[1e6, 1e6]])  # every kernel's window is empty out here
+
+
+def _equivalence_cases():
+    leaf = leaf_dataset(2, _SPEC, seed=3)
+    full = full_dataset(2, _SPEC, seed=4)
+    reps, rep_w = collapse_points(full, cell=25.0)
+    rng = np.random.default_rng(9)
+    return {
+        "leaf": (leaf, None),
+        "leaf-random-weights": (leaf, rng.uniform(0.0, 3.0, len(leaf))),
+        "full": (full, None),
+        "full-collapsed": (reps, rep_w),
+    }
+
+
+class TestBatchedEquivalence:
+    """The batched pass against the per-start loop it replaced."""
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("case", sorted(_equivalence_cases()))
+    def test_matches_per_start_loop(self, monkeypatch, kernel, case):
+        pts, w = _equivalence_cases()[case]
+        pw = np.ones(len(pts)) if w is None else w
+        starts = np.concatenate(
+            [density_starts(pts, 50.0, weights=w), _FAR]
+        )
+        modes, res = _batched_modes(
+            monkeypatch, pts, starts, kernel=kernel, weights=w
+        )
+        expect = [
+            _oracle_search(pts, s, 50.0, kernel, 100, 1e-3, pw) for s in starts
+        ]
+        assert len(starts) > 10
+        assert np.abs(modes - np.array([m for m, _ in expect])).max() < 1e-9
+        assert res.iterations == sum(i for _, i in expect)
+        assert res.point_iter_products == res.iterations * len(pts)
+        assert np.array_equal(modes[-1], _FAR[0])  # empty window: stays put
+
+    def test_blocks_span_the_starts(self, monkeypatch):
+        pts, w = _equivalence_cases()["full-collapsed"]
+        starts = np.concatenate([_FAR, density_starts(pts, 50.0, weights=w)])
+        unblocked, whole = _batched_modes(monkeypatch, pts, starts, weights=w)
+        monkeypatch.setattr(meanshift, "BLOCK_ELEMENTS", 3 * len(pts))
+        blocked, split = _batched_modes(monkeypatch, pts, starts, weights=w)
+        assert len(starts) > 3 * 3  # at least four blocks of three windows
+        expect = [_oracle_search(pts, s, 50.0, "gaussian", 100, 1e-3, w) for s in starts]
+        assert np.abs(blocked - np.array([m for m, _ in expect])).max() < 1e-9
+        assert split.iterations == whole.iterations == sum(i for _, i in expect)
+        assert np.abs(blocked - unblocked).max() < 1e-9
+
+    def test_search_is_one_row_of_the_pass(self):
+        pts, w = _equivalence_cases()["leaf-random-weights"]
+        for s in density_starts(pts, 50.0, weights=w)[:5]:
+            mode, iters = mean_shift_search(pts, s, weights=w)
+            want, want_iters = _oracle_search(pts, s, 50.0, "gaussian", 100, 1e-3, w)
+            assert np.abs(mode - want).max() < 1e-9
+            assert iters == want_iters
+
+    def test_starts_are_not_mutated(self):
+        pts = leaf_dataset(0, _SPEC, seed=1)
+        starts = density_starts(pts, 50.0)
+        before = starts.copy()
+        res = mean_shift(pts, starts=starts)
+        assert np.array_equal(starts, before)
+        assert np.array_equal(res.starts, before)
+
+    @pytest.mark.parametrize("case", sorted(_equivalence_cases()))
+    def test_collapse_matches_cell_loop(self, case):
+        pts, w = _equivalence_cases()[case]
+        pw = np.ones(len(pts)) if w is None else w
+        for cell in (12.5, 25.0, 60.0):
+            reps, rep_w = collapse_points(pts, w, cell=cell)
+            want, want_w = _oracle_collapse(pts, pw, cell)
+            assert np.abs(reps - want).max() < 1e-9
+            assert np.abs(rep_w - want_w).max() < 1e-9
+
+    def test_collapse_weightless_cell_uses_plain_mean(self):
+        pts = np.array([[1.0, 1.0], [3.0, 5.0], [100.0, 100.0], [102.0, 104.0]])
+        w = np.array([0.0, 0.0, 1.0, 3.0])
+        reps, rep_w = collapse_points(pts, w, cell=50.0)
+        want, want_w = _oracle_collapse(pts, w, 50.0)
+        assert np.abs(reps - want).max() < 1e-9
+        assert np.allclose(reps[0], [2.0, 3.0])
+        assert rep_w.tolist() == want_w.tolist() == [0.0, 4.0]
+
+    @pytest.mark.parametrize("case", sorted(_equivalence_cases()))
+    def test_density_starts_match_cell_loop(self, case):
+        pts, w = _equivalence_cases()[case]
+        pw = np.ones(len(pts)) if w is None else w
+        for threshold in (1.0, 3.0, 8.0):
+            got = density_starts(pts, 50.0, threshold, weights=w)
+            want = _oracle_density_starts(pts, pw, 10.0, threshold)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max(initial=0.0) < 1e-9
 
 
 class TestAssignLabels:

@@ -8,12 +8,14 @@ multicast path, and the socket lifecycle.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro import FIRST_APPLICATION_TAG, Network, balanced_topology, flat_topology
 from repro.core import packet as packet_mod
-from conftest import send_from_all
+from conftest import object_payload_samples, send_from_all
 
 TAG = FIRST_APPLICATION_TAG
 
@@ -98,6 +100,30 @@ class TestTCPReduction:
         # so the frame reads are bounded too.
         assert packs.count("%af") <= 3
         assert frames.count("%af") <= 3
+
+
+class TestObjectPayloadsOverTCP:
+    """Every ``%o`` payload type the program sends survives the socket
+    path: unpickled through the allowlist at each hop, both directions."""
+
+    @pytest.mark.parametrize("name", sorted(object_payload_samples()))
+    def test_round_trip_through_stream_and_backends(self, tcp_net, name):
+        value = object_payload_samples()[name]
+        want = pickle.dumps(value)
+        s = tcp_net.new_stream(transform="passthrough", sync="wait_for_all")
+        sid = s.stream_id
+        for be in tcp_net.backends:
+            be.wait_for_stream(sid)
+        s.send(TAG, "%o", value)
+        for be in tcp_net.backends:
+            (got,) = be.recv(timeout=15, stream_id=sid).values
+            assert type(got) is type(value)
+            assert pickle.dumps(got) == want
+            be.send(sid, TAG, "%o", got)
+        for _ in tcp_net.backends:
+            (back,) = s.recv(timeout=15).values
+            assert type(back) is type(value)
+            assert pickle.dumps(back) == want
 
 
 class TestTCPTopologies:

@@ -17,6 +17,7 @@ from repro.core.serialization import (
     unpack_payload,
     validate_values,
 )
+from conftest import object_payload_samples
 
 
 class TestParseFormat:
@@ -285,41 +286,18 @@ class TestObjectAllowlist:
         assert not marker.exists()
 
     def test_every_object_payload_round_trips(self):
-        from repro.core.events import StreamSpec
-        from repro.core.topology import NodeRole, balanced_topology
-        from repro.filters_ext.graph_fold import tree_payload
-        from repro.filters_ext.graph_merge import graph_to_payload
-        from repro.learn.datasets import make_classification_shard
-        from repro.learn.dtree import fit_single
-        from repro.simulate.simnet import WaveMessage
-        from repro.telemetry.registry import Registry
+        from repro.core.topology import NodeRole
 
-        import networkx as nx
-
-        reg = Registry("t")
-        reg.counter("c_total").inc()
-        reg.histogram("h_seconds").observe(0.5)
-        g = nx.DiGraph()
-        g.add_edge("a", "b", weight=2)
-        X, y = make_classification_shard(0, 40)
         values = [
-            StreamSpec(3, (1, 2), "sum", "wait_for_all", sync_params={"window": 0.2}),
-            balanced_topology(2, 2),
+            *object_payload_samples().values(),
             NodeRole.BACK_END,
-            reg.snapshot(),
-            (7, 2, 101, "%d %af", (5, np.arange(3.0))),  # a p2p payload
             {"n": 3, "names": ["x"], "arr": np.arange(4), "f": np.float32(1.5)},
-            fit_single(X, y, max_depth=2),
-            tree_payload([("r", "main")], [("r", "r")], "host1"),
-            graph_to_payload(g),
-            WaveMessage(64.0, {"k": 1}),
             {1, 2},
             frozenset({3}),
             bytearray(b"ab"),
             complex(1, 2),
             range(3),
             slice(1, 5, 2),
-            np.arange(6.0).reshape(2, 3).T,
             np.dtype(np.int32),
             np.int64(9),
         ]
