@@ -121,6 +121,8 @@ class BackEnd:
     def _handle_control(self, packet: Packet) -> None:
         if packet.tag == TAG_STREAM_CREATE:
             (spec,) = packet.values
+            if self.rank not in spec.members:
+                return  # every process gets the push; only members join
             with self._lock:
                 self._streams[spec.stream_id] = spec
                 self._stream_events.setdefault(spec.stream_id, threading.Event()).set()
@@ -152,7 +154,6 @@ class BackEnd:
             (req_id,) = packet.values
             snap = (req_id, self.telemetry.snapshot())
             self._reply(Packet(CONTROL_STREAM_ID, TAG_TELEMETRY, "%d %o", snap))
-        # Other control traffic (filter loads...) needs no back-end action.
 
     # -- application API ------------------------------------------------------
     def wait_for_stream(self, stream_id: int, timeout: float | None = 5.0) -> StreamSpec:
@@ -176,8 +177,9 @@ class BackEnd:
         """Send one data packet upstream on ``stream_id``.
 
         Raises:
-            StreamError: the stream has not been announced here (send
-                would race the stream-create broadcast).
+            StreamError: the stream has not been announced here (this
+                back-end is not a member, or :meth:`wait_for_stream` was
+                skipped).
             StreamClosedError: the stream is already closed.
             NetworkShutdownError: the network has shut down.
         """

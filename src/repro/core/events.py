@@ -3,9 +3,10 @@
 The TBON control plane rides on the same packet mechanism as application
 data: control packets use the reserved stream id 0 and tags below
 :data:`FIRST_APPLICATION_TAG`.  Communication processes interpret these
-packets to build per-stream routing state and load filters dynamically;
-everything else is forwarded untouched.  Shutdown is not a message: the
-network closes every rank's endpoint directly.
+packets to build per-stream routing state; everything else is forwarded
+untouched.  Stream creates and topology updates are pushed into every
+process's endpoint directly, never through the tree.  Shutdown is not a
+message: the network closes every rank's endpoint directly.
 
 Reserved control tags (keep in sync with the constants below and the
 table in docs/PROTOCOL.md §4):
@@ -13,11 +14,11 @@ table in docs/PROTOCOL.md §4):
 ====  ====================  ===========================================
  tag  constant              purpose
 ====  ====================  ===========================================
-   1  TAG_STREAM_CREATE     instantiate per-stream filter state
+   1  TAG_STREAM_CREATE     instantiate per-stream filter state (pushed)
    2  TAG_STREAM_CLOSE      loss-free close handshake (down + up ack)
-   3  TAG_FILTER_LOAD       resolve a filter by name at every node
+   3  (retired)             formerly TAG_FILTER_LOAD; never reused
    4  (retired)             formerly TAG_SHUTDOWN; never reused
-   5  TAG_TOPOLOGY_ATTACH   adopt reconfigured routing state (recovery)
+   5  TAG_TOPOLOGY_ATTACH   adopt reconfigured routing state (pushed)
    6  TAG_TOPOLOGY_DETACH   announce a departing subtree
    7  TAG_HEARTBEAT         liveness probe
    8  TAG_CLOCK_PROBE       clock-offset measurement request
@@ -39,7 +40,6 @@ __all__ = [
     "FIRST_STREAM_ID",
     "TAG_STREAM_CREATE",
     "TAG_STREAM_CLOSE",
-    "TAG_FILTER_LOAD",
     "TAG_TOPOLOGY_ATTACH",
     "TAG_TOPOLOGY_DETACH",
     "TAG_HEARTBEAT",
@@ -62,7 +62,8 @@ FIRST_STREAM_ID = 1
 # Reserved control tags (all below FIRST_APPLICATION_TAG).
 TAG_STREAM_CREATE = 1
 TAG_STREAM_CLOSE = 2
-TAG_FILTER_LOAD = 3
+# Tag 3 (TAG_FILTER_LOAD) is retired: every node shares the front-end's
+# filter registry, so ``Network.load_filter`` resolves names in place.
 # Tag 4 (TAG_SHUTDOWN) is retired: shutdown closes endpoints directly.
 TAG_TOPOLOGY_ATTACH = 5
 TAG_TOPOLOGY_DETACH = 6
@@ -124,7 +125,7 @@ class Envelope:
 
 @dataclass(frozen=True)
 class StreamSpec:
-    """Wire-level description of a stream, broadcast at creation time.
+    """Wire-level description of a stream, pushed at creation time.
 
     Attributes:
         stream_id: unique id (>= :data:`FIRST_STREAM_ID`).

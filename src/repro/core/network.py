@@ -28,14 +28,13 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..analysis.locks import make_lock
 from .backend import BackEnd
-from .errors import NetworkShutdownError, StreamError, TopologyError
+from .errors import ChannelClosedError, NetworkShutdownError, StreamError, TopologyError
 from .events import (
     CONTROL_STREAM_ID,
     Direction,
     Envelope,
     FIRST_STREAM_ID,
     StreamSpec,
-    TAG_FILTER_LOAD,
     TAG_STREAM_CREATE,
     TAG_TELEMETRY,
     TAG_TOPOLOGY_ATTACH,
@@ -123,10 +122,11 @@ class Network:
     ) -> Stream:
         """Create a stream over ``members`` (default: every back-end).
 
-        The stream-create control packet is broadcast down the tree;
-        every covering node instantiates its filter pair before any
-        member can send, so no data packet can beat its stream's
-        creation (FIFO channels).
+        The stream-create control packet is pushed straight into every
+        process's endpoint, never through the tree, so no tree cut can
+        lose it.  Each node's copy is queued before any back-end's, all
+        before this returns, so no data packet can beat its stream's
+        creation (FIFO endpoints).
         """
         self._check_alive()
         if members is None:
@@ -140,7 +140,7 @@ class Network:
             if not member_tuple:
                 raise StreamError("stream needs at least one member")
         # Fail fast: resolve filter names at the front-end before the
-        # spec is broadcast (a typo'd name should raise here, not as an
+        # spec is pushed (a typo'd name should raise here, not as an
         # asynchronous node error).  "|"-chained names resolve per stage.
         for name in transform.split("|"):
             self.registry.resolve_transform(name.strip() or transform)
@@ -159,26 +159,24 @@ class Network:
         )
         stream = Stream(self, spec)
         self.frontend.register(stream)
-        create = Packet(CONTROL_STREAM_ID, TAG_STREAM_CREATE, "%o", (spec,))
-        self._inject_down(create)
+        self._push(Packet(CONTROL_STREAM_ID, TAG_STREAM_CREATE, "%o", (spec,)))
         return stream
 
     def load_filter(self, name: str, kind: str = "transform") -> None:
         """Dynamically load a filter into every communication process.
 
         ``name`` may be a registered name or the dlopen-analogue
-        ``"module:Attr"`` form; each node resolves (imports) it locally.
+        ``"module:Attr"`` form.  Every node of this network holds its one
+        :class:`FilterRegistry`, so resolving (importing) the name here
+        loads it everywhere, and errors surface synchronously.
         """
         self._check_alive()
         if kind not in ("transform", "sync"):
             raise StreamError(f"filter kind must be 'transform' or 'sync', got {kind!r}")
-        # Resolve at the front-end first so errors surface synchronously.
         if kind == "transform":
             self.registry.resolve_transform(name)
         else:
             self.registry.resolve_sync(name)
-        pkt = Packet(CONTROL_STREAM_ID, TAG_FILTER_LOAD, "%s %s", (name, kind))
-        self._inject_down(pkt)
 
     def attach_backend(self, parent_rank: int) -> BackEnd:
         """Attach a new back-end under ``parent_rank`` in the live network.
@@ -208,19 +206,12 @@ class Network:
     def push_topology(self) -> None:
         """Deliver the current topology to every process of the network.
 
-        The one topology push, used by live attach, failure recovery and
-        the chaos engine's anti-entropy pass.  The ``TAG_TOPOLOGY_ATTACH``
-        packet goes straight to each communication process's inbox and
-        each back-end's endpoint rather than through the tree — the tree is what
-        changed, and direct delivery works while edges are degraded.
+        Used by live attach, failure recovery and the chaos engine's
+        anti-entropy pass.  The ``TAG_TOPOLOGY_ATTACH`` packet goes
+        through :meth:`_push`, not the tree — the tree is what changed.
         Processes adopt the topology idempotently and never forward it.
         """
-        reconfig = Packet(
-            CONTROL_STREAM_ID, TAG_TOPOLOGY_ATTACH, "%o", (self.topology,)
-        )
-        env = Envelope(src=-1, direction=Direction.DOWNSTREAM, packet=reconfig)
-        for rank in [*self.nodes, *self.topology.backends]:
-            self.transport.inbox(rank).put(env)
+        self._push(Packet(CONTROL_STREAM_ID, TAG_TOPOLOGY_ATTACH, "%o", (self.topology,)))
 
     # -- endpoints ---------------------------------------------------------------
     def backend(self, rank: int) -> BackEnd:
@@ -275,6 +266,22 @@ class Network:
         return threads
 
     # -- plumbing --------------------------------------------------------------------
+    def _push(self, packet: Packet) -> None:
+        """Put ``packet`` straight into every live process's endpoint.
+
+        The one control push (stream creates, topology): nodes first,
+        then back-ends, one push at a time, so every process sees pushes
+        in the same order and works while tree edges are cut.  A crashed
+        process not yet recovered has a closed endpoint and is skipped.
+        """
+        env = Envelope(src=-1, direction=Direction.DOWNSTREAM, packet=packet)
+        with self._lock:
+            for rank in [*self.nodes, *self.topology.backends]:
+                try:
+                    self.transport.inbox(rank).put(env)
+                except ChannelClosedError:
+                    pass
+
     def _inject_down(self, packet: Packet) -> None:
         """Inject a packet at the root as if sent by the application."""
         self._check_alive()

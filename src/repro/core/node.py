@@ -2,8 +2,8 @@
 
 Every non-leaf rank of the tree (the front-end's root process and all
 internal processes) runs a :class:`NodeRunner`: a loop that drains the
-rank's inbox, interprets control packets (stream creation, filter
-loading, close) and drives the per-stream filter pipeline on
+rank's inbox, interprets control packets (stream creation, close,
+topology) and drives the per-stream filter pipeline on
 data packets — synchronization filter first, then the transformation
 filter, then forwarding toward the front-end, exactly as Figure 1 of the
 paper describes.
@@ -41,7 +41,6 @@ from .events import (
     Envelope,
     StreamSpec,
     TAG_ERROR,
-    TAG_FILTER_LOAD,
     TAG_P2P,
     TAG_STREAM_CLOSE,
     TAG_STREAM_CREATE,
@@ -122,9 +121,6 @@ class NodeRunner:
         self._is_root = rank == topology.root
         self._children = topology.children(rank)
         self._parent = topology.parent(rank)
-        self._backend_children = frozenset(
-            c for c in self._children if not topology.children(c)
-        )
         # Timer bookkeeping: only streams whose sync filter actually
         # implements deadlines are scanned, and the earliest deadline is
         # cached between mutations — the wait_for_all/null fast path
@@ -311,8 +307,6 @@ class NodeRunner:
                 self._on_stream_close_down(packet)
             else:
                 self._on_stream_close_ack(env)
-        elif tag == TAG_FILTER_LOAD:
-            self._on_filter_load(packet)
         elif tag == TAG_P2P:
             self._on_p2p(packet)
         elif tag == TAG_TOPOLOGY_ATTACH:
@@ -326,9 +320,17 @@ class NodeRunner:
             raise ProtocolError(f"unknown control tag {tag} at node {self.rank}")
 
     def _on_stream_create(self, packet: Packet) -> None:
+        """Install stream state if a member lies below; never forward.
+
+        ``Network.new_stream`` pushes the create into every process's
+        endpoint directly, so a node with no member below has no part
+        in the stream and installs nothing.
+        """
         (spec_obj,) = packet.values
         spec: StreamSpec = spec_obj
         covering = tuple(self.topology.covering_children(self.rank, spec.members))
+        if not covering:
+            return
         ctx = FilterContext(
             node_rank=self.rank,
             stream_id=spec.stream_id,
@@ -363,7 +365,6 @@ class NodeRunner:
         )
         self.streams[spec.stream_id] = st
         self._register_stream_timers(st)
-        self._forward_down(packet, covering)
 
     def _on_stream_close_down(self, packet: Packet) -> None:
         (stream_id,) = packet.values
@@ -402,15 +403,6 @@ class NodeRunner:
         else:
             self.transport.send(self.rank, self._parent, Direction.UPSTREAM, ack)
 
-    def _on_filter_load(self, packet: Packet) -> None:
-        name = packet.values[0]
-        kind = packet.values[1]
-        if kind == "transform":
-            self.registry.resolve_transform(name)
-        else:
-            self.registry.resolve_sync(name)
-        self._forward_down(packet, [c for c in self._children if c not in self._backend_children])
-
     def _on_p2p(self, packet: Packet) -> None:
         """Route a back-end-to-back-end message through the tree.
 
@@ -444,9 +436,6 @@ class NodeRunner:
         self.topology = new_topo
         self._children = new_topo.children(self.rank)
         self._parent = new_topo.parent(self.rank)
-        self._backend_children = frozenset(
-            c for c in self._children if not new_topo.children(c)
-        )
         self._deadline_dirty = True
         for st in list(self.streams.values()):
             st.covering = tuple(
@@ -634,6 +623,8 @@ class NodeRunner:
                 self.transport.send(
                     self.rank, self._parent, Direction.UPSTREAM, packet
                 )
+            except ChannelClosedError:
+                pass  # the parent crashed and awaits recovery: the loss window
             except (TransportError, TopologyError):
                 if not self._edge_vanished(self._parent):
                     raise
@@ -673,6 +664,10 @@ class NodeRunner:
             self._m_down_out.inc(len(kids))
         try:
             self.transport.multicast(self.rank, kids, Direction.DOWNSTREAM, packet)
+        except ChannelClosedError:
+            # Every failed recipient crashed (live siblings got the
+            # packet) and awaits recovery: the reconfiguration loss window.
+            pass
         except (TransportError, TopologyError):
             # Tolerate sends racing a recovery rebind: if any recipient's
             # edge is gone from the transport's current tree, the whole

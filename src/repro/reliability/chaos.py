@@ -27,9 +27,11 @@ Fault model (docs/RELIABILITY.md):
   Nth data send, then :func:`~repro.reliability.recovery.recover_from_failure`
   repairs the tree.
 
-Faults count **data** packets only: control packets (stream create,
-close handshake, topology pushes) travel unharmed, mirroring reference
-[2]'s assumption that the recovery plane outlives the data plane.
+Faults count **data** packets only: no fault is ever *chosen* for a
+control packet.  A crash or reset still loses whatever was queued on the
+severed channels, control packets included; stream creates and topology
+updates are safe from that because ``Network`` pushes them straight into
+every process's endpoint and never sends them along a tree edge.
 
 Determinism: fault *decisions* depend only on per-edge data-packet
 ordinals, which are fixed by the schedule plus count-based
@@ -53,7 +55,6 @@ from ..core.errors import (
     ChannelClosedError,
     NodeFailureError,
     RecoveryError,
-    StreamError,
     TopologyError,
     TransportError,
 )
@@ -81,11 +82,6 @@ __all__ = [
 POINT_KINDS = ("drop", "delay", "duplicate", "reorder", "reset")
 ALL_KINDS = POINT_KINDS + ("partition", "crash")
 DEFAULT_KINDS = ("drop", "delay", "duplicate", "reorder")
-
-#: Seconds a back-end below a crash or reset keeps waiting for a stream
-#: announcement after the cut, and the slice it waits in between checks.
-CUT_GRACE = 0.25
-CUT_POLL = 0.05
 
 _m_faults = {
     kind: _REGISTRY.counter("tbon_reliability_faults_total", labels={"kind": kind})
@@ -212,7 +208,6 @@ class ChaosEngine:
                 self._point.setdefault((f.src, f.dst), {})[f.seq] = f
         self._crashes: dict[int, CrashFault] = {c.rank: c for c in schedule.crashes}
         self._trace: list[str] = []  # tbon: lock=_lock
-        self._cut_at: dict[int, float] = {}  # tbon: lock=_lock
         self.errors: list[str] = []  # tbon: lock=_lock
         self._network: Network | None = None
         self._tasks: "queue.Queue[Any]" = queue.Queue()
@@ -313,10 +308,8 @@ class ChaosEngine:
         net = self._network
         if net is None or rank not in net.nodes or rank == net.topology.root:
             return
-        below = net.topology.subtree_backends(rank)
         try:
             FailureInjector(net).kill_node(rank)
-            self._mark_cut(below)
             recover_from_failure(net, rank)
         except (NodeFailureError, TopologyError, RecoveryError, TransportError) as exc:
             with self._lock:
@@ -332,42 +325,11 @@ class ChaosEngine:
         parent, child = (src, dst) if topo.parent(dst) == src else (dst, src)
         if topo.parent(child) != parent:
             return
-        below = topo.subtree_backends(child)
         try:
             net.transport.reset_edge(parent, child)
-            self._mark_cut(below)
             net.transport.reconnect_edge(parent, child)
         except (TransportError, TopologyError, ChannelClosedError):
             pass  # a reset racing recovery is a no-op, not an error
-
-    def _mark_cut(self, backends: frozenset[int]) -> None:
-        """Record that the frames queued towards ``backends`` are lost."""
-        now = time.monotonic()
-        with self._lock:
-            for rank in backends:
-                self._cut_at.setdefault(rank, now)
-
-    def await_stream(self, be: Any, stream_id: int, timeout: float = 5.0) -> None:
-        """``be.wait_for_stream`` that gives up once a fault cut ``be``'s path.
-
-        A crash or connection reset loses the frames queued on the
-        severed channels, and nothing re-sends a stream-create, so a
-        back-end below the cut that has still not seen the announcement
-        :data:`CUT_GRACE` seconds after it never will.  Raises
-        :class:`StreamError` when it gives up, as ``wait_for_stream``
-        does on its timeout.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            with self._lock:
-                cut_at = self._cut_at.get(be.rank)
-            try:
-                be.wait_for_stream(stream_id, timeout=CUT_POLL)
-                return
-            except StreamError:
-                now = time.monotonic()
-                if now >= deadline or (cut_at is not None and now - cut_at >= CUT_GRACE):
-                    raise
 
     # -- lifecycle -------------------------------------------------------
     def heal(self, *, converge_timeout: float = 10.0) -> None:
@@ -596,8 +558,9 @@ def run_chaos(
     3. **verify** — a *fresh* stream checks the recovery invariants
        cross-linked from docs/RELIABILITY.md: liveness
        (``all_waves_arrive``), exactness (``wave_sums_exact``), no
-       duplicate delivery (``no_duplicate_delivery``), and membership
-       agreement (``membership_consistent``).
+       duplicate delivery (``no_duplicate_delivery``), membership
+       agreement (``membership_consistent``), and every surviving
+       back-end holding the storm stream (``streams_announced``).
     """
     if topology is None:
         shape = random.Random(seed)
@@ -622,7 +585,7 @@ def run_chaos(
 
         def storm_fn(be: Any) -> None:
             try:
-                engine.await_stream(be, sid, timeout=5.0)
+                be.wait_for_stream(sid, timeout=5.0)
                 for _ in range(waves):
                     be.send(sid, FIRST_APPLICATION_TAG, "%d", 1)
             except Exception:  # tbon: allow-broad-except(storm-phase sends hitting injected faults are expected)
@@ -664,6 +627,7 @@ def run_chaos(
         invariants["wave_sums_exact"] = got == [v * n_be for v in values]
         invariants["no_duplicate_delivery"] = _recv_tolerant(verify, 0.5) is None
         invariants["membership_consistent"] = engine.membership_consistent()
+        invariants["streams_announced"] = all(sid in be.streams for be in net.backends)
         node_errors = {r: repr(e) for r, e in net.node_errors().items()}
     finally:
         try:

@@ -204,7 +204,8 @@ class SimTransport(Transport):
         members = tuple(topology.backends)
         spec = StreamSpec(FIRST_STREAM_ID, members, transform, sync, params)
         create = Packet(CONTROL_STREAM_ID, TAG_STREAM_CREATE, "%o", (spec,))
-        self.deliver(topology.root, Envelope(-1, Direction.DOWNSTREAM, create))
+        for rank in topology.ranks:  # pushed to every process, as Network does
+            self.deliver(rank, Envelope(-1, Direction.DOWNSTREAM, create))
         self.sim.run()
         self.sim = Simulator()
         self.servers = {r: Server(self.sim, f"node-{r}") for r in self.servers}

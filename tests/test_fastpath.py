@@ -99,15 +99,10 @@ class TestSerializeOnceMulticast:
 
         monkeypatch.setattr(ThreadTransport, "multicast", spying)
         node = NodeRunner(0, topo, transport, default_registry)
-        spec = StreamSpec(1, tuple(topo.backends), "sum", "wait_for_all")
-        node.handle(
-            Envelope(
-                -1,
-                Direction.DOWNSTREAM,
-                Packet(CONTROL_STREAM_ID, TAG_STREAM_CREATE, "%o", (spec,)),
-            )
-        )
-        assert tuple(topo.children(0)) in seen
+        _create_stream(node, topo)
+        assert seen == []  # the create itself is never forwarded
+        node.handle(Envelope(-1, Direction.DOWNSTREAM, make_packet(1, 100, "%d", 5)))
+        assert seen == [tuple(topo.children(0))]
 
     def test_thread_multicast_shares_envelope(self):
         topo = flat_topology(3)

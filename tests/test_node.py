@@ -11,6 +11,7 @@ import queue
 
 import pytest
 
+from repro.core.backend import BackEnd
 from repro.core.errors import ProtocolError
 from repro.core.events import (
     CONTROL_STREAM_ID,
@@ -55,7 +56,7 @@ def make_spec(topo, stream_id=1, transform="sum", sync="wait_for_all"):
 
 
 class TestStreamCreate:
-    def test_creates_state_and_forwards(self, setup):
+    def test_installs_state_without_forwarding(self, setup):
         topo, transport, root, internal, _d = setup
         spec = make_spec(topo)
         root.handle(Envelope(-1, Direction.DOWNSTREAM, spec_packet(spec)))
@@ -64,10 +65,23 @@ class TestStreamCreate:
         assert st.covering == tuple(topo.children(0))
         assert st.ctx.n_children == 2
         assert st.ctx.is_root
-        # Forwarded to both children.
-        for c in topo.children(0):
-            env = transport.inbox(c).get(timeout=1)
-            assert env.packet.tag == TAG_STREAM_CREATE
+        # The network pushes the create to every process itself.
+        assert all(transport.inbox(c).qsize() == 0 for c in topo.children(0))
+
+    def test_non_covering_node_and_non_member_backend_install_nothing(self, setup):
+        topo, transport, root, internal, _d = setup
+        other = topo.children(0)[1]
+        assert other != internal.rank
+        spec = StreamSpec(1, tuple(topo.subtree_backends(other)), "sum", "wait_for_all")
+        env = Envelope(-1, Direction.DOWNSTREAM, spec_packet(spec))
+        internal.handle(env)
+        assert internal.streams == {}
+        outsider = BackEnd(topo.children(internal.rank)[0], topo, transport)
+        outsider.put(env)
+        assert outsider.streams == {}
+        member = BackEnd(spec.members[0], topo, transport)
+        member.put(env)
+        assert set(member.streams) == {1}
 
     def test_subset_covering(self, setup):
         topo, transport, root, internal, _d = setup
@@ -129,8 +143,6 @@ class TestDataPath:
         pkt = Packet(1, 100, "%d", (5,))
         root.handle(Envelope(-1, Direction.DOWNSTREAM, pkt))
         kids = topo.children(0)
-        for c in kids:  # the forwarded stream-create comes first
-            assert transport.inbox(c).get(timeout=1).packet.tag == TAG_STREAM_CREATE
         got = [transport.inbox(c).get(timeout=1).packet for c in kids]
         assert len(got) == 2
         assert all(g is pkt for g in got)  # one packet object, not k copies
@@ -180,8 +192,6 @@ class TestControlEdgeCases:
         topo, transport, root, internal, delivered = setup
         root.handle(Envelope(-1, Direction.DOWNSTREAM, spec_packet(make_spec(topo))))
         c1, c2 = topo.children(0)
-        for c in (c1, c2):
-            transport.inbox(c).get(timeout=1)  # the forwarded stream-create
         inbox = transport.inbox(0)
         for c in (c1, c2):
             inbox.put(Envelope(c, Direction.UPSTREAM, Packet(1, 100, "%d", (5,), src=c)))
