@@ -750,7 +750,8 @@ class _ReactorIOVisitor(ast.NodeVisitor):
     stalling every channel in the process at once — or raises
     ``BlockingIOError`` from the hot path.  Only functions whose names
     start with ``_nb_`` may touch the socket primitives directly; the
-    blocking bind-time handshake belongs in :mod:`repro.transport.tcp`.
+    blocking edge setup (bind, recovery and reset repair, with its rank
+    hello) belongs in :mod:`repro.transport.tcp`.
     """
 
     def __init__(self, path: str, findings: list[Finding]) -> None:

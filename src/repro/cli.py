@@ -329,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--waves", type=int, default=3)
     ss.add_argument(
         "--transport",
-        choices=["tcp", "reactor", "thread"],
+        choices=["tcp", "thread"],
         default="tcp",
-        help="'tcp' (alias 'reactor') runs the tree over localhost sockets",
+        help="'tcp' runs the tree over localhost sockets",
     )
     ss.add_argument("--format", choices=["prom", "json", "both"], default="both")
     ss.set_defaults(fn=_cmd_stats)
@@ -352,9 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--events", type=int, default=12)
     ch.add_argument(
         "--transport",
-        choices=["tcp", "reactor", "thread"],
+        choices=["tcp", "thread"],
         default="tcp",
-        help="'tcp' (alias 'reactor') runs the tree over localhost sockets",
+        help="'tcp' runs the tree over localhost sockets",
     )
     ch.set_defaults(fn=_cmd_chaos)
 

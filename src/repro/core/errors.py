@@ -77,13 +77,13 @@ class ChannelClosedError(TransportError):
 
 
 class ChannelBusyError(TransportError):
-    """A non-blocking send found a bounded send queue at its high-water mark.
+    """A send waited its full stall time at a full send queue.
 
-    Only transports with bounded per-peer send queues raise this, and only
-    when configured to fail fast (``blocking_sends=False``) or when a
-    blocking send exceeds its stall timeout; the blocking default applies
-    backpressure by waiting for the queue to drain instead.  See
-    docs/PROTOCOL.md §7 (transport architectures / backpressure).
+    The socket transport bounds each per-peer send queue; a send at the
+    high-water mark waits for the queue to drain (backpressure) and
+    raises this only if it has not drained within
+    :data:`repro.transport.reactor.SEND_STALL_S`.  See docs/PROTOCOL.md
+    §7 (transport architecture / backpressure).
     """
 
 

@@ -58,8 +58,8 @@ class Network:
     Args:
         topology: the process tree to materialize.
         transport: ``"thread"`` (default), ``"tcp"`` (the selector-reactor
-            socket transport; ``"reactor"`` is a synonym), or a
-            pre-built :class:`~repro.transport.base.Transport` instance.
+            socket transport), or a pre-built
+            :class:`~repro.transport.base.Transport` instance.
         registry: filter registry (defaults to the process-wide one with
             MRNet's built-ins).
     """
@@ -80,14 +80,10 @@ class Network:
         self._shutdown = False
         self._lock = make_lock("network_state")
 
-        if transport == "thread":
-            from ..transport.local import ThreadTransport
+        if isinstance(transport, str):
+            from ..transport import make_transport
 
-            transport = ThreadTransport()
-        elif transport in ("tcp", "reactor"):
-            from ..transport.reactor import ReactorTransport
-
-            transport = ReactorTransport()
+            transport = make_transport(transport)
         self.transport: Transport = transport
         # Leaves are application back-ends, each its rank's endpoint.
         self._backends = {r: BackEnd(r, topology, transport) for r in topology.backends}

@@ -59,6 +59,10 @@ __all__ = ["StreamState", "NodeRunner"]
 
 _LOG = logging.getLogger(__name__)
 
+#: Envelopes handled per inbox wakeup: higher amortizes queue locking,
+#: lower bounds timer latency under backlog.
+BATCH_MAX = 64
+
 
 @dataclass
 class StreamState:
@@ -114,9 +118,6 @@ class NodeRunner:
         self.streams: dict[int, StreamState] = {}
         self.running = False
         self.error: Exception | None = None
-        #: Envelopes handled per inbox wakeup (tunable; higher amortizes
-        #: queue locking, lower bounds timer latency under backlog).
-        self.batch_max = 64
         self._thread: threading.Thread | None = None
         self._is_root = rank == topology.root
         self._children = topology.children(rank)
@@ -183,7 +184,7 @@ class NodeRunner:
         while self.running:
             timeout = self._next_timer_delay()
             try:
-                batch = inbox.get_batch(self.batch_max, timeout=timeout)
+                batch = inbox.get_batch(BATCH_MAX, timeout=timeout)
             except queue.Empty:
                 batch = []
             except ChannelClosedError:

@@ -62,6 +62,7 @@ from ..core.events import CONTROL_STREAM_ID, Direction, FIRST_APPLICATION_TAG
 from ..core.network import Network
 from ..core.topology import Topology, balanced_topology
 from ..telemetry.registry import GLOBAL as _REGISTRY, TELEMETRY as _TEL
+from ..transport import make_transport
 from ..transport.base import Transport
 from .failure import FailureInjector
 from .recovery import recover_from_failure
@@ -406,11 +407,11 @@ class ChaosTransport(Transport):
     (tboncheck rule TB701 rejects that hook anywhere else) — the base
     class's multicast loop sends to each recipient in turn, so each gets
     an independent fault decision.  Every other :class:`Transport`
-    member — rebinding, channel control, backpressure attributes,
-    endpoints — delegates explicitly to the wrapped transport,
-    so recovery and chaos compose on either backend.  (Each one must be
-    spelled out: the base class defines them all, so nothing would fall
-    through to the inner transport on its own.)
+    member — rebinding, channel control, endpoints — delegates
+    explicitly to the wrapped transport, so recovery and chaos compose
+    on either backend.  (Each one must be spelled out: the base class
+    defines them all, so nothing would fall through to the inner
+    transport on its own.)
     """
 
     def __init__(self, inner: Transport, engine: ChaosEngine):
@@ -430,14 +431,6 @@ class ChaosTransport(Transport):
     @property
     def rebinding(self) -> bool:  # type: ignore[override]
         return self.inner.rebinding
-
-    @property
-    def send_queue_limit(self) -> int | None:  # type: ignore[override]
-        return self.inner.send_queue_limit
-
-    @property
-    def blocking_sends(self) -> bool:  # type: ignore[override]
-        return self.inner.blocking_sends
 
     def bind(self, topology: Topology) -> None:
         self.inner.bind(topology)
@@ -509,18 +502,6 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _make_inner_transport(kind: str) -> Transport:
-    if kind == "thread":
-        from ..transport.local import ThreadTransport
-
-        return ThreadTransport()
-    if kind in ("tcp", "reactor"):
-        from ..transport.reactor import ReactorTransport
-
-        return ReactorTransport()
-    raise ValueError(f"unknown transport {kind!r}")
-
-
 def _recv_tolerant(stream: Any, timeout: float) -> Any | None:
     """recv() riding out filter errors (storm noise forwarded to the root)."""
     deadline = time.monotonic() + timeout
@@ -572,7 +553,7 @@ def run_chaos(
             seed, topology, kinds, events=events, horizon=max(2, waves + 1)
         )
     engine = ChaosEngine(schedule)
-    inner = _make_inner_transport(transport)
+    inner = make_transport(transport)
     net = Network(topology, transport=ChaosTransport(inner, engine))
     engine.attach(net)
     errors: list[str] = []

@@ -7,11 +7,12 @@ in surviving queues.  Recovery here re-parents the failed node's
 children onto its parent (the minimal structure-preserving repair),
 rebinds the transport — the thread transport remaps queues; the socket
 transport reconnects the surviving edges with capped exponential backoff
-plus jitter (:func:`repro.transport.tcp.connect_with_backoff`) and
-re-registers each repaired channel with its event loop — then pushes the
-new topology to every process (:meth:`Network.push_topology`), whose
-nodes recheck blocked synchronization waves so reductions waiting on the
-lost subtree release.
+plus jitter through its one edge setup
+(:func:`repro.transport.tcp.open_edges`) and re-registers each repaired
+channel with its event loop — then pushes the new topology to every
+process (:meth:`Network.push_topology`), whose nodes recheck blocked
+synchronization waves so reductions waiting on the lost subtree
+release.
 
 Guarantees (asserted by the test suite):
 

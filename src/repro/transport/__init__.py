@@ -3,7 +3,25 @@
 from .base import Inbox, Transport
 from .local import ThreadTransport
 
-__all__ = ["Inbox", "Transport", "ThreadTransport", "ReactorTransport"]
+__all__ = [
+    "Inbox",
+    "Transport",
+    "ThreadTransport",
+    "ReactorTransport",
+    "make_transport",
+]
+
+
+def make_transport(kind: str) -> Transport:
+    """The transport named ``kind``: ``"thread"`` (in-process queues) or
+    ``"tcp"`` (localhost sockets on one reactor thread)."""
+    if kind == "thread":
+        return ThreadTransport()
+    if kind == "tcp":
+        from .reactor import ReactorTransport
+
+        return ReactorTransport()
+    raise ValueError(f"unknown transport {kind!r}")
 
 
 def __getattr__(name: str):

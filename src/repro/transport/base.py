@@ -162,27 +162,8 @@ class Transport(abc.ABC):
     :meth:`shutdown`.  Ranks are the topology's ranks.  Every member the
     node loops, recovery and chaos layers use is declared here, so no
     caller has to probe a transport for a capability.
-
-    Backpressure contract (docs/PROTOCOL.md §7): transports advertise
-    their send-side flow-control policy through two attributes so
-    applications can reason about what a slow consumer does to senders:
-
-    * :attr:`send_queue_limit` — frames a bounded transport will queue
-      per peer before ``send()`` stops accepting more.  ``None`` means
-      unbounded buffering (no transport-level backpressure; the
-      in-process thread transport behaves this way, bounded only by
-      memory).
-    * :attr:`blocking_sends` — with a bounded queue, ``True`` makes
-      ``send()`` block until space frees (backpressure propagates to the
-      producing node), ``False`` makes it fail fast with
-      :class:`~repro.core.errors.ChannelBusyError`.
     """
 
-    #: Per-peer send-queue bound in frames; ``None`` = unbounded.
-    send_queue_limit: int | None = None
-    #: Bounded-queue policy: block at the high-water mark (True) or raise
-    #: :class:`~repro.core.errors.ChannelBusyError` immediately (False).
-    blocking_sends: bool = True
     #: True while :meth:`rebind` swaps edges — the new topology is
     #: visible before its connections exist, and senders (node event
     #: loops) use this to classify failures in that window as the
@@ -205,13 +186,6 @@ class Transport(abc.ABC):
         expected) from a genuine mid-run channel failure.
         """
         return self._closing.is_set()
-
-    def backpressure_policy(self) -> dict[str, Any]:
-        """The transport's send-side flow-control contract as a dict."""
-        return {
-            "send_queue_limit": self.send_queue_limit,
-            "blocking_sends": self.blocking_sends,
-        }
 
     def bind(self, topology: Topology) -> None:
         """Create channels for every edge of ``topology``.

@@ -23,26 +23,27 @@ O(fanout):
   9-byte frame header, appends ``(header, body)`` to the peer's bounded
   send queue and wakes the reactor (one wakeup byte per queue
   *transition*, not per frame).  The reactor drains a queue with a single
-  vectored ``sendmsg`` of up to :attr:`Reactor.coalesce_max` coalesced
-  frames, and keeps ``EVENT_WRITE`` interest registered only while the
-  queue is non-empty, so an idle tree polls nothing.
-* **Backpressure** — the per-peer queue is bounded.  At the high-water
-  mark ``send()`` blocks on a condition until the reactor drains frames
-  (backpressure propagates to the producing node), or fails fast with
-  :class:`ChannelBusyError` when the transport is configured
-  non-blocking.  The policy is advertised via
-  :attr:`Transport.send_queue_limit` / :attr:`Transport.blocking_sends`.
-  Endpoints never block (inboxes are unbounded, a back-end only appends
-  under its condition), and ``enqueue`` on the reactor thread — a
-  back-end's close ack or telemetry reply — queues past the high-water
-  mark instead of waiting, so the reactor thread itself can never block:
-  a prerequisite for deadlock freedom with one loop serving both
-  directions of every edge.
+  vectored ``sendmsg`` of up to :data:`COALESCE_MAX` coalesced frames,
+  and keeps ``EVENT_WRITE`` interest registered only while the queue is
+  non-empty, so an idle tree polls nothing.
+* **Backpressure** — one policy: the per-peer queue holds at most
+  :data:`SEND_QUEUE_FRAMES` frames.  At that high-water mark ``send()``
+  blocks on a condition until the reactor drains frames (backpressure
+  propagates to the producing node), and raises
+  :class:`ChannelBusyError` if the queue has not drained within
+  :data:`SEND_STALL_S` (a wedged peer must not hang its sender for
+  good).  Endpoints never block (inboxes are unbounded, a back-end only
+  appends under its condition), and ``enqueue`` on the reactor thread —
+  a back-end's close ack or telemetry reply — queues past the
+  high-water mark instead of waiting, so the reactor thread itself can
+  never block: a prerequisite for deadlock freedom with one loop
+  serving both directions of every edge.
 
 Static discipline: tboncheck rule TB601 forbids direct blocking socket
 calls in this module.  All socket I/O goes through the ``_nb_*`` helpers
-(which translate EAGAIN into ``None``), and the blocking bind-time
-handshake is delegated to :func:`repro.transport.tcp.establish_edges`.
+(which translate EAGAIN into ``None``), and the blocking edge setup —
+bind, recovery and reset repair alike — is delegated to
+:func:`repro.transport.tcp.open_edges`.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from ..core.packet import Packet
 from ..core.topology import Topology
 from ..telemetry.registry import GLOBAL as _TELEMETRY, SIZE_BOUNDS, TELEMETRY as _TEL
 from .base import Transport, deliver_each
-from .tcp import _EdgeRepairMixin, _HDR, establish_edges
+from .tcp import _HDR, open_edges
 
 __all__ = ["ReactorTransport", "Reactor"]
 
@@ -80,6 +81,15 @@ _BULK_DIRECT = 65536
 #: Largest frame body accepted: the decoder allocates the announced
 #: length up front, so a corrupt header must not claim up to 4 GiB.
 _MAX_FRAME_BYTES = 1 << 26
+#: Per-peer send-queue high-water mark, in frames queued + in flight.
+SEND_QUEUE_FRAMES = 1024
+#: Longest a sender waits at the high-water mark before
+#: :class:`ChannelBusyError` (guards against a wedged peer turning
+#: backpressure into a permanent hang).
+SEND_STALL_S = 30.0
+#: Frames coalesced into one vectored ``sendmsg``: well under IOV_MAX
+#: (1024 on Linux) and big enough to amortize syscalls across a burst.
+COALESCE_MAX = 32
 
 # Process-wide reactor instruments (GLOBAL registry, created at import so
 # the disabled hot path stays one ``_TEL.enabled`` attribute check).
@@ -95,6 +105,8 @@ _m_tx_bytes = _TELEMETRY.counter(
 _m_rx_bytes = _TELEMETRY.counter(
     "tbon_transport_bytes_total", {"transport": "reactor", "direction": "received"}
 )
+# Edge repairs (docs/RELIABILITY.md); bind opens edges but repairs none.
+_m_reconnects = _TELEMETRY.counter("tbon_recovery_reconnects_total")
 
 
 def _nb_recv_into(sock: socket.socket, view: memoryview) -> Optional[int]:
@@ -244,30 +256,18 @@ class _ReactorConnection:
         sock.setblocking(False)
 
     # -- producer side (any thread) ------------------------------------------
-    def enqueue(
-        self,
-        header: bytes,
-        body: bytes,
-        *,
-        block: bool,
-        timeout: float,
-        high_water: int,
-    ) -> None:
-        """Queue one frame, applying the transport's backpressure policy
-        (never on the reactor thread: only it drains the queue)."""
+    def enqueue(self, header: bytes, body: bytes, *, high_water: int) -> None:
+        """Queue one frame; at ``high_water`` queued frames, wait up to
+        :data:`SEND_STALL_S` for the reactor to drain (never on the
+        reactor thread: only it drains the queue)."""
         with self._lock:
             if (
                 self._depth >= high_water
                 and threading.current_thread() is not self.reactor._thread
             ):
-                if not block:
-                    raise ChannelBusyError(
-                        f"send queue for rank {self.owner_rank} is at its "
-                        f"high-water mark ({high_water} frames)"
-                    )
                 if _TEL.enabled:
                     _m_stalls.inc()
-                deadline = time.monotonic() + timeout
+                deadline = time.monotonic() + SEND_STALL_S
                 while self._depth >= high_water:
                     if self.closed:
                         raise ChannelClosedError(
@@ -277,7 +277,7 @@ class _ReactorConnection:
                     if remaining <= 0:
                         raise ChannelBusyError(
                             f"send to rank {self.owner_rank} stalled for "
-                            f"{timeout:.1f}s at the high-water mark "
+                            f"{SEND_STALL_S:.1f}s at the high-water mark "
                             f"({high_water} frames)"
                         )
                     self._ready.wait(remaining)
@@ -346,7 +346,7 @@ class _ReactorConnection:
         while True:
             if not self._inflight:
                 with self._lock:
-                    take = min(len(self._queue), self.reactor.coalesce_max)
+                    take = min(len(self._queue), COALESCE_MAX)
                     if take == 0:
                         # Fully drained: drop EVENT_WRITE interest so an
                         # idle channel costs the selector nothing.
@@ -416,10 +416,7 @@ class Reactor:
     mutation stays single-threaded once the loop runs.
     """
 
-    def __init__(self, *, coalesce_max: int = 32, name: str = "tbon-reactor-io"):
-        # Vectored-write coalescing bound; well under IOV_MAX (1024 on
-        # Linux) and big enough to amortize syscalls across a burst.
-        self.coalesce_max = coalesce_max
+    def __init__(self) -> None:
         self._selector = selectors.DefaultSelector()
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
@@ -432,7 +429,9 @@ class Reactor:
         self._conns: list[_ReactorConnection] = []
         self._closing = threading.Event()
         self._started = False
-        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
+        self._thread = threading.Thread(
+            target=self._run, name="tbon-reactor-io", daemon=True
+        )
 
     # -- registration (bind time, before the loop starts) --------------------
     def register(self, conn: _ReactorConnection) -> None:
@@ -601,45 +600,26 @@ class Reactor:
         self._wake_w.close()
 
 
-class ReactorTransport(_EdgeRepairMixin, Transport):
+class ReactorTransport(Transport):
     """Localhost-TCP channels multiplexed onto one reactor thread.
 
     FIFO per channel and reliable while the channel is open, with O(1)
     I/O threads per process, coalesced vectored writes, and bounded send
     queues providing real backpressure (see the module docstring and
-    docs/PROTOCOL.md §7).
+    docs/PROTOCOL.md §7).  Every edge — at bind, on :meth:`rebind` and on
+    :meth:`reconnect_edge` — is opened by :func:`open_edges` on the
+    caller's thread, never on the reactor's.
 
     Args:
         host: bind address (localhost only).
-        connect_timeout: bind-time accept/connect timeout in seconds.
-        max_queue_frames: per-peer send-queue high-water mark in frames.
-        block_on_full: True → ``send()`` blocks at the high-water mark;
-            False → ``send()`` raises :class:`ChannelBusyError`.
-        send_block_timeout: cap on one blocking-send stall, after which
-            :class:`ChannelBusyError` is raised anyway (guards against a
-            wedged peer turning backpressure into a permanent hang).
-        coalesce_max: frames coalesced into one vectored ``sendmsg``.
+        connect_timeout: accept/connect timeout in seconds.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        connect_timeout: float = 10.0,
-        *,
-        max_queue_frames: int = 1024,
-        block_on_full: bool = True,
-        send_block_timeout: float = 30.0,
-        coalesce_max: int = 32,
-    ):
+    def __init__(self, host: str = "127.0.0.1", connect_timeout: float = 10.0):
         super().__init__()
-        if max_queue_frames < 1:
-            raise TransportError("max_queue_frames must be >= 1")
         self.host = host
         self.connect_timeout = connect_timeout
-        self.send_queue_limit = int(max_queue_frames)
-        self.blocking_sends = bool(block_on_full)
-        self.send_block_timeout = send_block_timeout
-        self._reactor = Reactor(coalesce_max=coalesce_max)
+        self._reactor = Reactor()
         # (owner_rank, peer_rank) -> connection used by owner to reach peer
         self._conns: dict[tuple[int, int], _ReactorConnection] = {}
         self._listeners: dict[int, socket.socket] = {}
@@ -648,39 +628,95 @@ class ReactorTransport(_EdgeRepairMixin, Transport):
         conn = _ReactorConnection(sock, self._endpoints[owner], owner, self._reactor)
         self._conns[(owner, peer)] = conn
         # register_live degrades to plain register() before the loop
-        # starts, so bind and recovery share this one attach path.
+        # starts, so bind and repair share this one attach path.
         self._reactor.register_live(conn)
 
-    def _drop_conn(self, key: tuple[int, int]) -> "_ReactorConnection | None":
-        conn = self._conns.pop(key, None)
-        if conn is not None:
+    def _open(self, edges: Sequence[tuple[int, int]]) -> None:
+        open_edges(self.host, self.connect_timeout, edges, self._listeners, self._attach)
+
+    def _repair(self, edges: Sequence[tuple[int, int]]) -> None:
+        """Open ``edges`` on the live transport, counted as reconnects."""
+        if edges:
+            self._open(edges)
+            if _TEL.enabled:
+                _m_reconnects.inc(len(edges))
+
+    def _close_channels(self, keys: Sequence[tuple[int, int]]) -> bool:
+        """Close the channels ``keys`` as an expected teardown; True if
+        any was open.
+
+        Every channel is flagged before the first socket closes: closing
+        one direction delivers EOF on its paired reverse channel, and the
+        reactor must already know that close is expected or it logs a
+        spurious termination warning (the teardown race).
+        """
+        conns = [self._conns.pop(k) for k in keys if k in self._conns]
+        for conn in conns:
+            conn.expect_close()
+        for conn in conns:
             self._reactor.drop_live(conn)
-        return conn
+        return bool(conns)
 
     def bind(self, topology: Topology) -> None:
         super().bind(topology)
-        self._listeners = establish_edges(
-            self.host, self.connect_timeout, topology, self._attach
-        )
-        missing = [
-            e for e in topology.iter_edges() if (e[0], e[1]) not in self._conns
-        ]
-        if missing:
-            raise TransportError(f"reactor edges failed to establish: {missing}")
+        self._open(list(topology.iter_edges()))
         self._reactor.start()
+
+    def rebind(self, topology: Topology) -> None:
+        """Adopt a reconfigured topology on live sockets.
+
+        Surviving edges keep their connections (and any frames queued on
+        them — no data loss on channels that did not break); channels to
+        ranks that left the tree are closed orderly; edges the new tree
+        introduces (children re-parented onto the grandparent, attached
+        back-ends) are established with backoff before this returns.
+        """
+        self.rebinding = True
+        try:
+            keep = {e for p, c in topology.iter_edges() for e in ((p, c), (c, p))}
+            self._close_channels([k for k in self._conns if k not in keep])
+            for rank in [r for r in self._listeners if r not in topology]:
+                self._listeners.pop(rank).close()
+            super().rebind(topology)
+            self._repair([e for e in topology.iter_edges() if e not in self._conns])
+        finally:
+            self.rebinding = False
+
+    def disconnect_rank(self, rank: int) -> None:
+        """Sever every channel touching ``rank`` (crash semantics).
+
+        Used by failure injection before the node's inbox closes: a
+        crashed process takes its sockets with it.  Surviving peers'
+        channels see the close as orderly (per-edge expected flag) — the
+        recovery layer, not a log warning, is what reports the failure.
+        """
+        self._close_channels([k for k in self._conns if rank in k])
+        srv = self._listeners.pop(rank, None)
+        if srv is not None:
+            srv.close()
+
+    def reset_edge(self, a: int, b: int) -> None:
+        """Tear down the channel pair of edge ``(a, b)`` mid-run.
+
+        The chaos engine's connection-reset fault: frames queued on the
+        edge are lost, subsequent sends raise
+        :class:`ChannelClosedError` until :meth:`reconnect_edge`
+        repairs it.
+        """
+        if not self._close_channels([(a, b), (b, a)]):
+            raise TransportError(f"({a}, {b}) has no live connection to reset")
+
+    def reconnect_edge(self, parent: int, child: int) -> None:
+        """Re-establish one tree edge (the repair half of a reset)."""
+        self._close_channels([(parent, child), (child, parent)])
+        self._repair([(parent, child)])
 
     def _enqueue(self, src: int, dst: int, header: bytes, body: bytes) -> None:
         self._check_edge(src, dst)
         conn = self._conns.get((src, dst))
         if conn is None or self._closing.is_set():
             raise ChannelClosedError(f"no reactor connection {src}->{dst}")
-        conn.enqueue(
-            header,
-            body,
-            block=self.blocking_sends,
-            timeout=self.send_block_timeout,
-            high_water=self.send_queue_limit,
-        )
+        conn.enqueue(header, body, high_water=SEND_QUEUE_FRAMES)
 
     def send(self, src: int, dst: int, direction: Direction, packet: Any) -> None:
         body = packet.to_bytes()
@@ -703,4 +739,3 @@ class ReactorTransport(_EdgeRepairMixin, Transport):
         for srv in self._listeners.values():
             srv.close()
         super().shutdown()
-

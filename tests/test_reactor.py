@@ -1,4 +1,5 @@
-"""Reactor-transport tests: frame decoding, coalescing, backpressure, trees.
+"""Reactor-transport tests: frame decoding, coalescing, backpressure,
+edge setup and repair, trees.
 
 The reactor multiplexes every TCP channel onto one selector thread
 (src/repro/transport/reactor.py).  These tests drive the three layers
@@ -18,13 +19,13 @@ import numpy as np
 import pytest
 
 from repro import FIRST_APPLICATION_TAG, Network, balanced_topology, flat_topology
-from repro.core.errors import ChannelBusyError, ChannelClosedError
+from repro.core.errors import ChannelBusyError, ChannelClosedError, TransportError
 from repro.core.events import Direction
 from repro.core.packet import Packet
 from repro.telemetry.registry import GLOBAL, SIZE_BOUNDS, disable, enable
 from repro.transport.base import Inbox
+from repro.transport import reactor
 from repro.transport.reactor import Reactor, ReactorTransport, _FrameDecoder, _ReactorConnection
-from repro.transport.local import ThreadTransport
 from repro.transport.tcp import _HDR
 from conftest import send_from_all
 
@@ -148,8 +149,6 @@ class TestWriteCoalescing:
             conn.enqueue(
                 _HDR.pack(len(body), Direction.UPSTREAM.wire_code, 0),
                 body,
-                block=True,
-                timeout=5.0,
                 high_water=64,
             )
         conn.handle_write()
@@ -164,15 +163,15 @@ class TestWriteCoalescing:
             got += peer.recv(65536)
         assert len(got) == expected
 
-    def test_coalesce_max_bounds_vector_size(self, conn_pair, telemetry):
+    def test_coalesce_max_bounds_vector_size(self, conn_pair, telemetry, monkeypatch):
         conn, peer, _inbox = conn_pair
-        conn.reactor.coalesce_max = 4
+        monkeypatch.setattr(reactor, "COALESCE_MAX", 4)
         hist = telemetry.histogram("tbon_reactor_frames_per_sendmsg", bounds=SIZE_BOUNDS)
         before = hist.value()
         body = Packet(1, TAG, "%d", (0,)).to_bytes()
         header = _HDR.pack(len(body), Direction.UPSTREAM.wire_code, 0)
         for _ in range(10):
-            conn.enqueue(header, body, block=True, timeout=5.0, high_water=64)
+            conn.enqueue(header, body, high_water=64)
         conn.handle_write()
         after = hist.value()
         assert after["count"] - before["count"] == 3  # 4 + 4 + 2
@@ -212,14 +211,20 @@ class TestBackpressure:
         body = bytes(nbytes)
         header = _HDR.pack(len(body), Direction.UPSTREAM.wire_code, 0)
         for _ in range(high_water):
-            conn.enqueue(header, body, block=False, timeout=5.0, high_water=high_water)
+            conn.enqueue(header, body, high_water=high_water)
         return header, body
 
-    def test_nonblocking_full_queue_raises_busy(self, conn_pair):
+    def test_stalled_send_times_out_busy(self, conn_pair, monkeypatch):
+        """A sender the reactor never drains gives up after SEND_STALL_S
+        with ChannelBusyError — the only way to get that error."""
+        monkeypatch.setattr(reactor, "SEND_STALL_S", 0.1)
         conn, _peer, _inbox = conn_pair
         header, body = self._fill(conn, high_water=4)
+        t0 = time.monotonic()
         with pytest.raises(ChannelBusyError):
-            conn.enqueue(header, body, block=False, timeout=5.0, high_water=4)
+            conn.enqueue(header, body, high_water=4)
+        assert 0.1 <= time.monotonic() - t0 < 5.0
+        assert conn._depth == 4
 
     def test_blocking_send_stalls_then_drains(self, conn_pair, telemetry):
         conn, peer, _inbox = conn_pair
@@ -234,7 +239,7 @@ class TestBackpressure:
 
         def blocked_sender():
             try:
-                conn.enqueue(header, body, block=True, timeout=20.0, high_water=4)
+                conn.enqueue(header, body, high_water=4)
             except Exception as exc:  # surfaced via the errors list
                 errors.append(exc)
             done.set()
@@ -268,7 +273,7 @@ class TestBackpressure:
         loop = threading.Thread(
             target=conn.enqueue,
             args=(header, body),
-            kwargs={"block": True, "timeout": 30.0, "high_water": 2},
+            kwargs={"high_water": 2},
         )
         conn.reactor._thread = loop  # stands in for the reactor thread
         t0 = time.monotonic()
@@ -285,7 +290,7 @@ class TestBackpressure:
 
         def blocked_sender():
             try:
-                conn.enqueue(header, body, block=True, timeout=20.0, high_water=2)
+                conn.enqueue(header, body, high_water=2)
             except Exception as exc:  # surfaced via the caught list
                 caught.append(exc)
 
@@ -297,22 +302,14 @@ class TestBackpressure:
         assert len(caught) == 1
         assert isinstance(caught[0], ChannelClosedError)
 
-    def test_transport_surfaces_policy(self):
-        transport = ReactorTransport(max_queue_frames=16, block_on_full=False)
-        policy = transport.backpressure_policy()
-        assert policy == {"send_queue_limit": 16, "blocking_sends": False}
-        # The thread transport advertises unbounded buffering.
-        assert ThreadTransport().backpressure_policy() == {
-            "send_queue_limit": None,
-            "blocking_sends": True,
-        }
-
-    def test_slow_child_stalls_visible_in_snapshot(self, telemetry):
+    def test_slow_child_stalls_visible_in_snapshot(self, telemetry, monkeypatch):
         """Acceptance: a slow child makes the depth gauge and stall counter
         observable through the same GLOBAL registry `repro.cli stats` prints."""
+        monkeypatch.setattr(reactor, "SEND_QUEUE_FRAMES", 4)
+        monkeypatch.setattr(reactor, "SEND_STALL_S", 60.0)
         stalls = telemetry.counter("tbon_reactor_backpressure_stalls_total")
         stalls_before = stalls.value()
-        transport = ReactorTransport(max_queue_frames=4, send_block_timeout=60.0)
+        transport = ReactorTransport()
         topo = flat_topology(2)
         transport.bind(topo)
         try:
@@ -328,6 +325,67 @@ class TestBackpressure:
         snap = GLOBAL.snapshot()
         assert "tbon_reactor_send_queue_depth" in snap["gauges"]
         assert "tbon_reactor_backpressure_stalls_total" in snap["counters"]
+
+
+def _io_threads(before: set[threading.Thread]) -> tuple[list[str], list[str]]:
+    """Names of the reactor loops started since ``before``, and of every
+    accept thread still alive."""
+    now = threading.enumerate()
+    loops = [t.name for t in now if t not in before and t.name == "tbon-reactor-io"]
+    accepts = [t.name for t in now if t.name.startswith("tbon-tcp-accept-")]
+    return loops, accepts
+
+
+def _drain(inbox, n: int) -> list:
+    return [inbox.get(timeout=10).packet.values[0] for _ in range(n)]
+
+
+class TestEdgeSetup:
+    """Bind and live repair open edges through one setup path."""
+
+    def test_bind_and_reconnect_leave_one_loop_and_no_acceptor(self):
+        before = set(threading.enumerate())
+        transport = ReactorTransport()
+        transport.bind(balanced_topology(3, 2))
+        try:
+            assert _io_threads(before) == (["tbon-reactor-io"], [])
+            transport.reset_edge(1, 4)
+            transport.reconnect_edge(1, 4)
+            assert _io_threads(before) == (["tbon-reactor-io"], [])
+        finally:
+            transport.shutdown()
+
+    def test_reset_closes_and_reconnect_restores_fifo_both_ways(self):
+        transport = ReactorTransport()
+        transport.bind(flat_topology(2))
+        try:
+            transport.reset_edge(0, 1)
+            for src, dst in ((0, 1), (1, 0)):
+                with pytest.raises(ChannelClosedError):
+                    transport.send(src, dst, Direction.UPSTREAM, Packet(1, TAG, "%d", (0,)))
+            with pytest.raises(TransportError):
+                transport.reset_edge(0, 1)  # nothing left to reset
+            transport.reconnect_edge(0, 1)
+            for i in range(50):
+                transport.send(0, 1, Direction.DOWNSTREAM, Packet(1, TAG, "%d", (i,)))
+                transport.send(1, 0, Direction.UPSTREAM, Packet(1, TAG, "%d", (-i,)))
+            assert _drain(transport.inbox(1), 50) == list(range(50))
+            assert _drain(transport.inbox(0), 50) == [-i for i in range(50)]
+        finally:
+            transport.shutdown()
+
+    def test_reconnects_count_repairs_not_bind(self, telemetry):
+        reconnects = telemetry.counter("tbon_recovery_reconnects_total")
+        start = reconnects.value()
+        transport = ReactorTransport()
+        transport.bind(flat_topology(3))
+        try:
+            assert reconnects.value() == start
+            transport.reset_edge(0, 2)
+            transport.reconnect_edge(0, 2)
+            assert reconnects.value() == start + 1
+        finally:
+            transport.shutdown()
 
 
 class TestLiveTree:
@@ -378,7 +436,7 @@ class TestReactorThreadCount:
     def test_io_threads_are_o1(self):
         """Acceptance: reactor I/O threads <= 2 regardless of fanout."""
         fanout = 16
-        with Network(flat_topology(fanout), transport="reactor") as net:
+        with Network(flat_topology(fanout), transport="tcp") as net:
             s = net.new_stream(transform="sum", sync="wait_for_all")
             send_from_all(net, s, TAG, "%d", lambda r: 1)
             assert s.recv(timeout=15).values[0] == fanout

@@ -21,7 +21,7 @@ from repro.reliability import FailureInjector, recover_from_failure
 TAG = FIRST_APPLICATION_TAG
 
 
-@pytest.fixture(params=["reactor"])
+@pytest.fixture(params=["tcp"], ids=["reactor"])
 def socket_net(request):
     """A live depth-2 network over the socket transport."""
     net = Network(balanced_topology(3, 2), transport=request.param)
